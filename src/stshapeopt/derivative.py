@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedCaseError
-from .fem import NQ, evaluate_objective, solve_state
+from .fem import (_element_fields, _reluctivity_arrays, element_geometry,
+                  evaluate_objective, solve_state)
 from .kernels import jet1d, m_prime, pullback_scalar_derivative
-from .mesh import deform_mesh, trajectory_intervals
+from .mesh import deform_mesh, mesh_geometry, trajectory_intervals
 
 
 @dataclass
@@ -63,27 +64,32 @@ class InterfaceDensities:
 def _element_planes(mesh, nodal):
     """Affine representation (value at vertex 0, dt-slope, dx-slope, anchor)
     of a P1 field on every element."""
-    tri = mesh.elements
-    p = mesh.vertices[tri]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    two_a = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    vals = nodal[tri]
-    e1 = vals[:, 1] - vals[:, 0]
-    e2 = vals[:, 2] - vals[:, 0]
-    slope_t = (e1 * d2[:, 1] - e2 * d1[:, 1]) / two_a
-    slope_x = (e2 * d1[:, 0] - e1 * d2[:, 0]) / two_a
-    return vals[:, 0], slope_t, slope_x, p[:, 0, 0], p[:, 0, 1]
+    slope_t, slope_x, _ = _element_fields(mesh, mesh_geometry(mesh), nodal)
+    anchor = mesh.elements[:, 0]
+    return (nodal[anchor], slope_t, slope_x, mesh.vertices[anchor, 0],
+            mesh.vertices[anchor, 1])
 
 
-def _phase_nu(mesh, layout, u_x):
-    nu = np.empty(mesh.n_elements)
-    nu_prime = np.empty(mesh.n_elements)
-    for pid, mat in layout.materials.items():
-        mask = mesh.phases == pid
-        if np.any(mask):
-            nu[mask], nu_prime[mask] = mat.nu.eval(np.abs(u_x[mask]))
-    return nu, nu_prime
+def _trajectory_samples(mesh, xi_c):
+    """Both ends of every sub-interval of the trajectories of the reference
+    points xi_c: times, covering elements, reference and physical points
+    (each shaped (n_pts, 2 n_t, 2)), the kernel jets there, and the
+    sub-interval lengths."""
+    els, t_nodes = trajectory_intervals(mesh, xi_c)
+    t_eval = np.stack([t_nodes[:, :-1], t_nodes[:, 1:]], axis=-1)
+    e_eval = np.broadcast_to(els[:, :, None], t_eval.shape)
+    xi_eval = np.broadcast_to(xi_c[:, None, None], t_eval.shape)
+    x_eval = mesh.motion.forward(t_eval.ravel(),
+                                 xi_eval.ravel()[:, None])[:, 0] \
+        .reshape(t_eval.shape)
+    jets = jet1d(mesh.motion, t_eval, xi_eval)
+    return t_eval, e_eval, xi_eval, x_eval, jets, np.diff(t_nodes, axis=1)
+
+
+def _trajectory_integral(jets, dt, s):
+    """Trapezoid time integral of |G| s along each trajectory."""
+    weighted = np.abs(jets.G) * s
+    return np.sum(0.5 * dt * (weighted[..., 0] + weighted[..., 1]), axis=1)
 
 
 def pde_volume_densities(mesh, layout, u, p, source, objective):
@@ -95,23 +101,13 @@ def pde_volume_densities(mesh, layout, u, p, source, objective):
     nu'/|grad u| quotient guarded by its removable-singularity limit.
     """
     sm = mesh.spatial_mesh()
-    u_nodal = u.nodal()
-    p_nodal = p.nodal()
-    u0, u_t, u_x, _, _ = _element_planes(mesh, u_nodal)
-    p0, p_t, p_x, t0, x0 = _element_planes(mesh, p_nodal)
-    sigma_e = layout.sigma(mesh.phases)
-    nu_e, nu_prime_e = _phase_nu(mesh, layout, u_x)
+    u0, u_t, u_x, _, _ = _element_planes(mesh, u.nodal())
+    p0, p_t, p_x, t0, x0 = _element_planes(mesh, p.nodal())
+    geom = element_geometry(mesh, layout)
+    nu_e, nu_prime_e = _reluctivity_arrays(geom, np.abs(u_x))
 
-    xi_c = sm.centroids
-    els, t_nodes = trajectory_intervals(mesh, xi_c)
-    t_eval = np.stack([t_nodes[:, :-1], t_nodes[:, 1:]], axis=-1)
-    e_eval = np.broadcast_to(els[:, :, None], t_eval.shape)
-    xi_eval = np.broadcast_to(xi_c[:, None, None], t_eval.shape)
-
-    x_eval = mesh.motion.forward(t_eval.ravel(),
-                                 xi_eval.ravel()[:, None])[:, 0] \
-        .reshape(t_eval.shape)
-    jets = jet1d(mesh.motion, t_eval, xi_eval)
+    t_eval, e_eval, xi_eval, x_eval, jets, dt = \
+        _trajectory_samples(mesh, sm.centroids)
 
     u_pt = u0[e_eval] + u_t[e_eval] * (t_eval - t0[e_eval]) \
         + u_x[e_eval] * (x_eval - x0[e_eval])
@@ -120,7 +116,7 @@ def pde_volume_densities(mesh, layout, u, p, source, objective):
     ux = u_x[e_eval]
     px = p_x[e_eval]
     du_dt = u_t[e_eval] + jets.vhat * ux
-    sig = sigma_e[e_eval]
+    sig = geom.sigma[e_eval]
     nu = nu_e[e_eval]
     nu_p = nu_prime_e[e_eval]
 
@@ -147,14 +143,9 @@ def pde_volume_densities(mesh, layout, u, p, source, objective):
     # derivative of the source pullback
     s0 += -p_pt * jets.G * grad_f_pt
 
-    det = np.abs(jets.G)
-    dt = np.diff(t_nodes, axis=1)
-    g0 = np.sum(0.5 * dt * (det[..., 0] * s0[..., 0]
-                            + det[..., 1] * s0[..., 1]), axis=1)
-    g1 = np.sum(0.5 * dt * (det[..., 0] * s1[..., 0]
-                            + det[..., 1] * s1[..., 1]), axis=1)
     return DerivativeDensities(
-        g0=g0, g1=g1, spatial_mesh=sm,
+        g0=_trajectory_integral(jets, dt, s0),
+        g1=_trajectory_integral(jets, dt, s1), spatial_mesh=sm,
         metadata={"functional": "pde_objective",
                   "time_rule": "trapezoid on slab boundaries and crossings"})
 
@@ -172,10 +163,8 @@ def pde_surface_derivative(mesh, layout, u, p):
                                   positions=np.array([]),
                                   values=np.array([]), normals=np.array([]))
 
-    u_nodal = u.nodal()
-    p_nodal = p.nodal()
-    u0, u_t, u_x, _, _ = _element_planes(mesh, u_nodal)
-    p0, p_t, p_x, t0, x0 = _element_planes(mesh, p_nodal)
+    u0, u_t, u_x, _, _ = _element_planes(mesh, u.nodal())
+    p0, p_t, p_x, t0, x0 = _element_planes(mesh, p.nodal())
 
     values = np.empty(len(nodes))
     normals = np.empty(len(nodes))
@@ -223,23 +212,15 @@ def magnetization_supplement(mesh, magnetization, magnetization_grad, p,
     masked spatial elements; the field and its spatial derivative are
     callables of (t, x)."""
     sm = mesh.spatial_mesh()
-    p_nodal = p.nodal()
-    _, _, p_x, _, _ = _element_planes(mesh, p_nodal)
+    _, _, p_x, _, _ = _element_planes(mesh, p.nodal())
 
     mask = np.asarray(element_mask, dtype=bool)
     g0 = np.zeros(sm.n_elements)
     g1 = np.zeros(sm.n_elements)
     active = np.nonzero(mask)[0]
     if len(active) > 0:
-        xi_c = sm.centroids[active]
-        els, t_nodes = trajectory_intervals(mesh, xi_c)
-        t_eval = np.stack([t_nodes[:, :-1], t_nodes[:, 1:]], axis=-1)
-        e_eval = np.broadcast_to(els[:, :, None], t_eval.shape)
-        xi_eval = np.broadcast_to(xi_c[:, None, None], t_eval.shape)
-        x_eval = mesh.motion.forward(t_eval.ravel(),
-                                     xi_eval.ravel()[:, None])[:, 0] \
-            .reshape(t_eval.shape)
-        jets = jet1d(mesh.motion, t_eval, xi_eval)
+        t_eval, e_eval, _, x_eval, jets, dt = \
+            _trajectory_samples(mesh, sm.centroids[active])
         hog = jets.h_over_g
 
         big_l = magnetization(t_eval, x_eval)
@@ -250,12 +231,8 @@ def magnetization_supplement(mesh, magnetization, magnetization_grad, p,
         s0 = -big_l * px * hog - grad_l * jets.G * px + big_l * px * hog
         s1 = -big_l * px + big_l * px
 
-        det = np.abs(jets.G)
-        dt = np.diff(t_nodes, axis=1)
-        g0[active] = np.sum(0.5 * dt * (det[..., 0] * s0[..., 0]
-                                        + det[..., 1] * s0[..., 1]), axis=1)
-        g1[active] = np.sum(0.5 * dt * (det[..., 0] * s1[..., 0]
-                                        + det[..., 1] * s1[..., 1]), axis=1)
+        g0[active] = _trajectory_integral(jets, dt, s0)
+        g1[active] = _trajectory_integral(jets, dt, s1)
     return DerivativeDensities(
         g0=g0, g1=g1, spatial_mesh=sm,
         metadata={"functional": "magnetization_supplement"})
@@ -264,41 +241,28 @@ def magnetization_supplement(mesh, magnetization, magnetization_grad, p,
 def academic_objective(mesh, f):
     """Quadrature of the fixed integrand f over the design phase of the
     space-time mesh."""
-    geom = _light_geometry(mesh)
-    f_q = f.values(geom["qp_t"], geom["qp_x"], geom["qp_xi"])
+    geom = mesh_geometry(mesh)
+    f_q = f.values(geom.qp_t, geom.qp_x, geom.qp_xi)
     inside = mesh.phases == 1
-    return float(np.sum((geom["area"][inside] / 3.0)
+    return float(np.sum((geom.area[inside] / 3.0)
                         * np.sum(f_q[inside], axis=1)))
-
-
-def _light_geometry(mesh):
-    p = mesh.vertices[mesh.elements]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    qp = np.einsum("qi,eid->eqd", NQ, p)
-    qp_t = qp[:, :, 0]
-    qp_x = qp[:, :, 1]
-    qp_xi = mesh.motion.inverse(qp_t.ravel(), qp_x.ravel()[:, None])[:, 0] \
-        .reshape(qp_t.shape)
-    return {"area": area, "qp_t": qp_t, "qp_x": qp_x, "qp_xi": qp_xi}
 
 
 def academic_volume_derivative(mesh, f, theta):
     """Volume form of the derivative of the academic functional: quadrature
     of m'(theta) f + f_1(theta) over the design phase."""
-    geom = _light_geometry(mesh)
+    geom = mesh_geometry(mesh)
     sm = mesh.spatial_mesh()
-    jets = jet1d(mesh.motion, geom["qp_t"], geom["qp_xi"])
-    theta_q = sm.interpolate(theta, geom["qp_xi"])
-    theta_x_q = sm.interpolate_gradient(theta, geom["qp_xi"])
+    jets = jet1d(mesh.motion, geom.qp_t, geom.qp_xi)
+    theta_q = sm.interpolate(theta, geom.qp_xi)
+    theta_x_q = sm.interpolate_gradient(theta, geom.qp_xi)
     m_q = jets.h_over_g * theta_q + theta_x_q
-    f_q = f.values(geom["qp_t"], geom["qp_x"], geom["qp_xi"])
-    grad_f_q = f.gradient(geom["qp_t"], geom["qp_x"], geom["qp_xi"])
+    f_q = f.values(geom.qp_t, geom.qp_x, geom.qp_xi)
+    grad_f_q = f.gradient(geom.qp_t, geom.qp_x, geom.qp_xi)
     f1_q = jets.G * grad_f_q * theta_q
     val = m_q * f_q + f1_q
     inside = mesh.phases == 1
-    return float(np.sum((geom["area"][inside] / 3.0)
+    return float(np.sum((geom.area[inside] / 3.0)
                         * np.sum(val[inside], axis=1)))
 
 

@@ -23,13 +23,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import AssemblyError, NonconvergenceError, SolverError
 from .kernels import jet1d
-
-# Interior second-order triangle rule (barycentric 2/3, 1/6, 1/6; weights
-# area/3): rows = points, cols = P1 basis.  Strictly interior points keep
-# boundary-singular source gradients out of the quadrature.
-NQ = np.array([[2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0],
-               [1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0],
-               [1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0]])
+from .mesh import NQ, MeshGeometry, mesh_geometry
 
 LINEAR_RESIDUAL_TOL = 1e-12
 
@@ -84,48 +78,21 @@ class Objective:
     jprime: object
 
 
-@dataclass
-class ElementGeometry:
-    area: np.ndarray
-    grad_t: np.ndarray
-    grad_x: np.ndarray
-    qp_t: np.ndarray
-    qp_x: np.ndarray
-    qp_xi: np.ndarray
-    qp_v: np.ndarray
+@dataclass(frozen=True)
+class ElementGeometry(MeshGeometry):
+    """The mesh's cached geometry plus the layout's per-element data."""
+
     sigma: np.ndarray
     phase_groups: list
 
 
 def element_geometry(mesh, layout):
     """Per-element data shared by the assembly routines."""
-    p = mesh.vertices[mesh.elements]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    two_a = 2.0 * area
-    # grad N_i = rotate(v_{i+1} - v_{i+2}) / (2A) in (t, x) coordinates
-    grad_t = np.empty((mesh.n_elements, 3))
-    grad_x = np.empty((mesh.n_elements, 3))
-    for i in range(3):
-        e = p[:, (i + 1) % 3] - p[:, (i + 2) % 3]
-        grad_t[:, i] = e[:, 1] / two_a
-        grad_x[:, i] = -e[:, 0] / two_a
-
-    qp = np.einsum("qi,eid->eqd", NQ, p)
-    qp_t = qp[:, :, 0]
-    qp_x = qp[:, :, 1]
-    flat_xi = mesh.motion.inverse(qp_t.ravel(), qp_x.ravel()[:, None])[:, 0]
-    qp_xi = flat_xi.reshape(qp_t.shape)
-    qp_v = mesh.motion.dt(qp_t.ravel(), flat_xi[:, None])[:, 0] \
-        .reshape(qp_t.shape)
-
-    sigma = layout.sigma(mesh.phases)
     groups = [(mesh.phases == pid, mat.nu)
               for pid, mat in layout.materials.items()]
-    return ElementGeometry(area=area, grad_t=grad_t, grad_x=grad_x,
-                           qp_t=qp_t, qp_x=qp_x, qp_xi=qp_xi, qp_v=qp_v,
-                           sigma=sigma, phase_groups=groups)
+    return ElementGeometry(**vars(mesh_geometry(mesh)),
+                           sigma=layout.sigma(mesh.phases),
+                           phase_groups=groups)
 
 
 def _reluctivity_arrays(geom, grad_norm):
@@ -328,10 +295,7 @@ def solve_state(mesh, layout, source, newton=None, initial_guess=None):
 def objective_gradient_vector(mesh, u, objective):
     """Exact derivative of the discrete objective with respect to the free
     coefficients of u."""
-    geom_p = mesh.vertices[mesh.elements]
-    d1 = geom_p[:, 1] - geom_p[:, 0]
-    d2 = geom_p[:, 2] - geom_p[:, 0]
-    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    area = mesh_geometry(mesh).area
     u_q = u.nodal()[mesh.elements] @ NQ.T
     local = (area / 3.0)[:, None] * (objective.jprime(u_q) @ NQ)
     return _scatter_vector(mesh, u.dofmap, local)
@@ -340,8 +304,7 @@ def objective_gradient_vector(mesh, u, objective):
 def solve_adjoint(mesh, layout, u, objective):
     """Adjoint field from the transposed state Jacobian at u, loaded with
     the negative objective derivative."""
-    geom = element_geometry(mesh, layout)
-    system = LinearSystem(_jacobian_matrix(mesh, geom, u.dofmap, u.nodal()))
+    system = LinearSystem(assemble_state_jacobian(mesh, layout, u))
     b = -objective_gradient_vector(mesh, u, objective)
     return Field(u.dofmap, system.solve_transpose(b))
 
@@ -408,17 +371,13 @@ def volume_form_pairing(mesh, layout, u, p, source, objective, spatial_mesh,
 def solve_tangent(mesh, layout, u, source, spatial_mesh, theta):
     """Material derivative of the state with respect to the design velocity
     theta; the right side is linear in theta."""
-    geom = element_geometry(mesh, layout)
-    system = LinearSystem(_jacobian_matrix(mesh, geom, u.dofmap, u.nodal()))
+    system = LinearSystem(assemble_state_jacobian(mesh, layout, u))
     rhs = tangent_rhs(mesh, layout, u, source, spatial_mesh, theta)
     return Field(u.dofmap, system.solve(rhs))
 
 
 def evaluate_objective(mesh, u, objective):
     """Element quadrature of j(u) over the space-time region."""
-    p = mesh.vertices[mesh.elements]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    area = mesh_geometry(mesh).area
     u_q = u.nodal()[mesh.elements] @ NQ.T
     return float(np.sum((area / 3.0) * np.sum(objective.j(u_q), axis=1)))

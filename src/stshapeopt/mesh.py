@@ -12,14 +12,18 @@ so a deformation followed by its negation restores the mesh exactly.
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import GeometryError, InvertedElementError
 
-FACET_LATERAL = 1
-FACET_BOTTOM = 2
-FACET_TOP = 3
+# Interior second-order triangle rule (barycentric 2/3, 1/6, 1/6; weights
+# area/3): rows = points, cols = P1 basis.  Strictly interior points keep
+# boundary-singular source gradients out of the quadrature.
+NQ = np.array([[2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0],
+               [1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0],
+               [1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0]])
 
 _EDGE_NUDGE = 1e-12
 _EXIT_TOL = 1e-10
@@ -61,7 +65,8 @@ class SpatialMesh:
         return slopes[seg]
 
 
-@dataclass(frozen=True)
+# eq=False keeps identity hashing, which keys the geometry cache.
+@dataclass(frozen=True, eq=False)
 class SpaceTimeMesh:
     vertices: np.ndarray       # (n_v, 2) -> (t, x)
     elements: np.ndarray       # (n_e, 3) vertex indices, positive orientation
@@ -72,8 +77,6 @@ class SpaceTimeMesh:
     xi_nodes: np.ndarray       # (n_x + 1,) reference spatial grid
     t_grid: np.ndarray         # (n_t + 1,)
     periodic_pairs: np.ndarray  # (n_x + 1, 2) bottom/top vertex indices
-    facets: np.ndarray         # (n_f, 2) boundary edges
-    facet_tags: np.ndarray     # (n_f,)
     motion: object
 
     @property
@@ -137,6 +140,50 @@ class SpaceTimeMesh:
         return self.cell_base_element(i, slab)                # holds edge p00-p10
 
 
+@dataclass(frozen=True)
+class MeshGeometry:
+    """Per-element geometry and quadrature of a space-time mesh: areas, P1
+    basis gradients in (t, x), and the NQ points with their reference
+    coordinate and flow velocity.  Arrays are shared and read-only."""
+
+    area: np.ndarray           # (n_e,)
+    grad_t: np.ndarray         # (n_e, 3)
+    grad_x: np.ndarray         # (n_e, 3)
+    qp_t: np.ndarray           # (n_e, 3)
+    qp_x: np.ndarray           # (n_e, 3)
+    qp_xi: np.ndarray          # (n_e, 3)
+    qp_v: np.ndarray           # (n_e, 3)
+
+
+@lru_cache(maxsize=1)
+def mesh_geometry(mesh):
+    """The MeshGeometry of ``mesh``, computed once per mesh object.
+
+    One entry keeps the state, adjoint and density passes over a mesh on a
+    single motion inversion without holding earlier meshes alive.
+    """
+    area = mesh.signed_areas()
+    p = mesh.vertices[mesh.elements]
+    # grad N_i = rotate(v_{i+1} - v_{i+2}) / (2A) in (t, x) coordinates
+    e = p[:, [1, 2, 0]] - p[:, [2, 0, 1]]
+    two_a = 2.0 * area[:, None]
+    grad_t = e[:, :, 1] / two_a
+    grad_x = -e[:, :, 0] / two_a
+
+    qp = np.einsum("qi,eid->eqd", NQ, p)
+    qp_t = qp[:, :, 0]
+    qp_x = qp[:, :, 1]
+    flat_xi = mesh.motion.inverse(qp_t.ravel(), qp_x.ravel()[:, None])[:, 0]
+    qp_v = mesh.motion.dt(qp_t.ravel(), flat_xi[:, None])[:, 0]
+    geom = MeshGeometry(area=area, grad_t=grad_t, grad_x=grad_x,
+                        qp_t=qp_t, qp_x=qp_x,
+                        qp_xi=flat_xi.reshape(qp_t.shape),
+                        qp_v=qp_v.reshape(qp_t.shape))
+    for array in vars(geom).values():
+        array.setflags(write=False)
+    return geom
+
+
 def generate_mesh(n_x, n_t, interfaces, motion, t_final=1.0):
     """Structured space-time mesh with grid lines on every interface.
 
@@ -167,58 +214,34 @@ def generate_mesh(n_x, n_t, interfaces, motion, t_final=1.0):
 
     t_grid = np.linspace(0.0, float(t_final), n_t + 1)
 
-    ii, jj = np.meshgrid(np.arange(n_x + 1), np.arange(n_t + 1))
-    column = ii.ravel()
-    row = jj.ravel()
+    row, column = np.divmod(np.arange((n_t + 1) * (n_x + 1)), n_x + 1)
     ref = xi[column]
     t_v = t_grid[row]
     x_v = motion.forward(t_v, ref[:, None])[:, 0]
     vertices = np.column_stack([t_v, x_v])
 
-    elements = np.empty((2 * n_x * n_t, 3), dtype=int)
-    phases = np.empty(2 * n_x * n_t, dtype=int)
     centroids = 0.5 * (xi[:-1] + xi[1:])
     region = np.searchsorted(interfaces, centroids)
     cell_phase = np.where(region % 2 == 1, 1, 2)
 
-    def vid(j, i):
-        return j * (n_x + 1) + i
-
-    for j in range(n_t):
-        for i in range(n_x):
-            base = 2 * (j * n_x + i)
-            p00, p01 = vid(j, i), vid(j, i + 1)
-            p10, p11 = vid(j + 1, i), vid(j + 1, i + 1)
-            if (i + j) % 2 == 0:
-                elements[base] = (p00, p11, p01)
-                elements[base + 1] = (p00, p10, p11)
-            else:
-                elements[base] = (p00, p10, p01)
-                elements[base + 1] = (p01, p10, p11)
-            phases[base] = cell_phase[i]
-            phases[base + 1] = cell_phase[i]
+    # Cells in row-major (slab j, column i) order, two elements per cell.
+    j, i = np.divmod(np.arange(n_t * n_x), n_x)
+    p00 = j * (n_x + 1) + i
+    p01, p10, p11 = p00 + 1, p00 + n_x + 1, p00 + n_x + 2
+    rising = ((i + j) % 2 == 0)[:, None]
+    first = np.where(rising, np.column_stack([p00, p11, p01]),
+                     np.column_stack([p00, p10, p01]))
+    second = np.where(rising, np.column_stack([p00, p10, p11]),
+                      np.column_stack([p01, p10, p11]))
+    elements = np.stack([first, second], axis=1).reshape(-1, 3)
+    phases = np.repeat(cell_phase[i], 2)
 
     pairs = np.column_stack([np.arange(n_x + 1),
                              n_t * (n_x + 1) + np.arange(n_x + 1)])
 
-    facets = []
-    tags = []
-    for i in range(n_x):
-        facets.append((vid(0, i), vid(0, i + 1)))
-        tags.append(FACET_BOTTOM)
-        facets.append((vid(n_t, i), vid(n_t, i + 1)))
-        tags.append(FACET_TOP)
-    for j in range(n_t):
-        facets.append((vid(j, 0), vid(j + 1, 0)))
-        tags.append(FACET_LATERAL)
-        facets.append((vid(j, n_x), vid(j + 1, n_x)))
-        tags.append(FACET_LATERAL)
-
     mesh = SpaceTimeMesh(vertices=vertices, elements=elements, phases=phases,
                          ref_xi=ref, column=column, row=row, xi_nodes=xi,
-                         t_grid=t_grid, periodic_pairs=pairs,
-                         facets=np.array(facets), facet_tags=np.array(tags),
-                         motion=motion)
+                         t_grid=t_grid, periodic_pairs=pairs, motion=motion)
     if np.any(mesh.signed_areas() <= 0.0):
         raise GeometryError("generated mesh has non-positive element areas")
     return mesh

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .derivative import pde_volume_densities
-from .errors import ConfigError, InvertedElementError
+from .errors import ConfigError, InvertedElementError, SolverError
 from .fem import evaluate_objective, solve_adjoint, solve_state
 from .mesh import deform_mesh
 
@@ -157,7 +157,11 @@ def optimize(mesh, layout, source, objective, config, newton=None,
         direction, norm = hilbertian_direction(mesh.spatial_mesh(),
                                                densities, config)
         # by construction the pairing equals -b(theta, theta)
-        assert densities.pairing(direction) <= 1e-12 * (abs(j_value) + 1.0)
+        pairing = densities.pairing(direction)
+        bound = 1e-12 * (abs(j_value) + 1.0)
+        if not pairing <= bound:
+            raise SolverError(f"direction is not a descent direction: "
+                              f"pairing {pairing:.3e} exceeds {bound:.3e}")
         if norm <= config.theta_tol:
             records.append(IterationRecord(n, j_value, norm, 0.0,
                                            state.iterations))

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from stshapeopt import (Identity, Polynomial1D, deform_mesh, generate_mesh,
-                        vertical_line_elements)
+from helpers import moving_interface_problem
+from stshapeopt import (ConstantReluctivity, Identity, PhaseLayout,
+                        PhaseMaterial, Polynomial1D, deform_mesh,
+                        generate_mesh, pde_volume_densities, solve_adjoint,
+                        solve_state, vertical_line_elements)
 from stshapeopt.errors import GeometryError, InvertedElementError
-from stshapeopt.mesh import trajectory_intervals
+from stshapeopt.fem import element_geometry
+from stshapeopt.mesh import mesh_geometry, trajectory_intervals
 
 
 def test_structured_counts_and_phases_identity():
@@ -163,3 +167,96 @@ def test_spatial_mesh_interfaces_and_interp():
     assert abs(sm.interpolate(vals, 0.45) - 0.45 ** 2) < 3e-3
     grad = sm.interpolate_gradient(vals, np.array([0.45]))
     assert abs(grad[0] - 0.9) < 0.11
+
+
+def loop_connectivity(xi, interfaces, n_t):
+    """Reference connectivity: the cell-by-cell double loop that
+    generate_mesh replaced with array indexing."""
+    n_x = len(xi) - 1
+    cell_phase = np.where(
+        np.searchsorted(interfaces, 0.5 * (xi[:-1] + xi[1:])) % 2 == 1, 1, 2)
+    elements = np.empty((2 * n_x * n_t, 3), dtype=int)
+    phases = np.empty(2 * n_x * n_t, dtype=int)
+
+    def vid(j, i):
+        return j * (n_x + 1) + i
+
+    for j in range(n_t):
+        for i in range(n_x):
+            base = 2 * (j * n_x + i)
+            p00, p01 = vid(j, i), vid(j, i + 1)
+            p10, p11 = vid(j + 1, i), vid(j + 1, i + 1)
+            if (i + j) % 2 == 0:
+                elements[base] = (p00, p11, p01)
+                elements[base + 1] = (p00, p10, p11)
+            else:
+                elements[base] = (p00, p10, p01)
+                elements[base + 1] = (p01, p10, p11)
+            phases[base] = cell_phase[i]
+            phases[base + 1] = cell_phase[i]
+    return elements, phases
+
+
+@pytest.mark.parametrize("n_x, n_t", [(8, 4), (9, 5), (10, 3), (7, 6)])
+@pytest.mark.parametrize("interfaces", [(0.5,), (0.4, 0.6),
+                                        (0.2, 0.45, 0.8)])
+def test_generated_connectivity_matches_loop_reference(n_x, n_t, interfaces):
+    mesh = generate_mesh(n_x, n_t, interfaces, Polynomial1D())
+    elements, phases = loop_connectivity(mesh.xi_nodes, interfaces, n_t)
+    assert mesh.elements.dtype == elements.dtype
+    assert np.array_equal(mesh.elements, elements)
+    assert np.array_equal(mesh.phases, phases)
+    vid = np.arange(mesh.n_vertices)
+    assert np.array_equal(mesh.row * (n_x + 1) + mesh.column, vid)
+
+
+def count_inversions(monkeypatch, motion):
+    calls = []
+    original = motion.inverse
+
+    def counted(t, y):
+        calls.append(np.size(y))
+        return original(t, y)
+
+    monkeypatch.setattr(motion, "inverse", counted)
+    return calls
+
+
+def test_geometry_is_computed_once_per_mesh(monkeypatch):
+    mesh, layout, source, objective = moving_interface_problem(12)
+    calls = count_inversions(monkeypatch, mesh.motion)
+    state = solve_state(mesh, layout, source)
+    p = solve_adjoint(mesh, layout, state.u, objective)
+    pde_volume_densities(mesh, layout, state.u, p, source, objective)
+    assert calls == [3 * mesh.n_elements]
+
+
+def test_geometry_keeps_layout_data_per_layout():
+    mesh, layout, _, _ = moving_interface_problem(12)
+    other = PhaseLayout({1: PhaseMaterial(3.0, ConstantReluctivity(2.0)),
+                         2: PhaseMaterial(1.0, ConstantReluctivity(5.0))})
+    first = element_geometry(mesh, layout)
+    second = element_geometry(mesh, other)
+    assert first.qp_xi is second.qp_xi
+    assert np.array_equal(first.sigma, layout.sigma(mesh.phases))
+    assert np.array_equal(second.sigma, other.sigma(mesh.phases))
+    assert not np.array_equal(first.sigma, second.sigma)
+    assert [law for _, law in second.phase_groups] == \
+        [mat.nu for mat in other.materials.values()]
+
+
+def test_deformed_mesh_gets_fresh_geometry(monkeypatch):
+    mesh = generate_mesh(12, 6, (0.4, 0.6), Polynomial1D())
+    calls = count_inversions(monkeypatch, mesh.motion)
+    theta = np.sin(np.pi * mesh.xi_nodes)
+    base = mesh_geometry(mesh)
+    moved = deform_mesh(mesh, theta, 0.05)
+    back = deform_mesh(moved, theta, -0.05)
+    moved_geom = mesh_geometry(moved)
+    back_geom = mesh_geometry(back)
+    assert len(calls) == 3
+    assert np.array_equal(moved_geom.area, moved.signed_areas())
+    assert not np.allclose(moved_geom.area, base.area)
+    assert back_geom is not base
+    assert np.allclose(back_geom.qp_xi, base.qp_xi, rtol=0.0, atol=1e-14)
+    assert not base.area.flags.writeable

@@ -9,7 +9,7 @@ from stshapeopt import (DescentConfig, hilbertian_direction, line_search,
                         optimize, pde_volume_densities, solve_adjoint,
                         solve_state)
 from stshapeopt.derivative import DerivativeDensities
-from stshapeopt.errors import ConfigError
+from stshapeopt.errors import ConfigError, SolverError
 from stshapeopt.mesh import SpatialMesh
 from stshapeopt.optimizer import write_history_csv
 
@@ -155,6 +155,21 @@ def test_optimize_descends_strictly_and_preserves_mesh_invariants():
     assert np.array_equal(report.mesh.periodic_pairs, mesh.periodic_pairs)
     assert np.array_equal(report.mesh.phases, mesh.phases)
     assert "theta_norm" in report.metadata
+
+
+@pytest.mark.parametrize("spoil", [np.negative, lambda d: d * np.nan],
+                         ids=["ascent", "nan"])
+def test_optimize_raises_on_a_non_descent_direction(monkeypatch, spoil):
+    mesh, layout, source, objective = moving_interface_problem(12)
+    real_direction = opt_mod.hilbertian_direction
+
+    def ascent(spatial_mesh, densities, config):
+        direction, norm = real_direction(spatial_mesh, densities, config)
+        return spoil(direction), norm
+
+    monkeypatch.setattr(opt_mod, "hilbertian_direction", ascent)
+    with pytest.raises(SolverError, match="pairing .* exceeds"):
+        optimize(mesh, layout, source, objective, DescentConfig())
 
 
 def test_optimize_is_deterministic():

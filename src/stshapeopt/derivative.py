@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedCaseError
-from .fem import (_element_fields, _reluctivity_arrays, element_geometry,
-                  evaluate_objective, solve_state)
+from .fem import (_derivative_integrand, _element_fields,
+                  _reluctivity_arrays, element_geometry, evaluate_objective,
+                  solve_state)
 from .kernels import jet1d, m_prime, pullback_scalar_derivative
 from .mesh import deform_mesh, mesh_geometry, trajectory_intervals
 
@@ -40,19 +41,12 @@ class DerivativeDensities:
         return float(np.sum(self.spatial_mesh.widths * self.g0 * mean)
                      + np.sum(self.g1 * jump))
 
-    def add(self, other):
-        return DerivativeDensities(
-            g0=self.g0 + other.g0, g1=self.g1 + other.g1,
-            spatial_mesh=self.spatial_mesh,
-            metadata={**self.metadata, **other.metadata})
-
 
 @dataclass
 class InterfaceDensities:
     """Surface-form density per interface point: J'(theta) = sum v (theta.n)."""
 
     node_ids: np.ndarray
-    positions: np.ndarray
     values: np.ndarray
     normals: np.ndarray
 
@@ -95,10 +89,9 @@ def _trajectory_integral(jets, dt, s):
 def pde_volume_densities(mesh, layout, u, p, source, objective):
     """Volume-form densities of the PDE-constrained objective.
 
-    Expands every term of the derivative through the pullback kernels into
-    coefficients for (theta, theta') and integrates them along the centroid
-    trajectories; covers the nonlinear reluctivity correction term, with the
-    nu'/|grad u| quotient guarded by its removable-singularity limit.
+    Integrates the (theta, theta') coefficients of the shape-derivative
+    integrand, nonlinear reluctivity correction included, along the
+    centroid trajectories.
     """
     sm = mesh.spatial_mesh()
     u0, u_t, u_x, _, _ = _element_planes(mesh, u.nodal())
@@ -113,35 +106,11 @@ def pde_volume_densities(mesh, layout, u, p, source, objective):
         + u_x[e_eval] * (x_eval - x0[e_eval])
     p_pt = p0[e_eval] + p_t[e_eval] * (t_eval - t0[e_eval]) \
         + p_x[e_eval] * (x_eval - x0[e_eval])
-    ux = u_x[e_eval]
-    px = p_x[e_eval]
-    du_dt = u_t[e_eval] + jets.vhat * ux
-    sig = geom.sigma[e_eval]
-    nu = nu_e[e_eval]
-    nu_p = nu_prime_e[e_eval]
-
-    f_pt = source.values(t_eval, x_eval, xi_eval)
-    grad_f_pt = source.gradient(t_eval, x_eval, xi_eval)
-    ju = objective.j(u_pt)
-
-    hog = jets.h_over_g
-    c_m = ju + sig * du_dt * p_pt - f_pt * p_pt
-    s0 = c_m * hog
-    s1 = c_m.copy()
-    # transported convection of the state gradient
-    s0 += -sig * p_pt * jets.vhat * ux * hog
-    s1 += -sig * p_pt * jets.vhat * ux
-    # derivative of the velocity pullback
-    s0 += sig * p_pt * ux * jets.W
-    # derivative of the transported time direction
-    s0 += -sig * p_pt * ux * (jets.W + jets.H * jets.q)
-    s1 += -sig * p_pt * ux * jets.G * jets.q
-    # diffusion tensor derivative, with the nonlinear correction
-    flux = -(nu + nu_p * np.abs(ux)) * ux * px
-    s0 += flux * hog
-    s1 += flux
-    # derivative of the source pullback
-    s0 += -p_pt * jets.G * grad_f_pt
+    s0, s1 = _derivative_integrand(
+        jets, geom.sigma[e_eval], nu_e[e_eval], nu_prime_e[e_eval],
+        u_t[e_eval], u_x[e_eval], objective.j(u_pt),
+        source.values(t_eval, x_eval, xi_eval),
+        source.gradient(t_eval, x_eval, xi_eval), p_pt, p_x[e_eval])
 
     return DerivativeDensities(
         g0=_trajectory_integral(jets, dt, s0),
@@ -160,7 +129,6 @@ def pde_surface_derivative(mesh, layout, u, p):
     nodes = sm.interface_nodes()
     if len(nodes) == 0:
         return InterfaceDensities(node_ids=np.array([], dtype=int),
-                                  positions=np.array([]),
                                   values=np.array([]), normals=np.array([]))
 
     u0, u_t, u_x, _, _ = _element_planes(mesh, u.nodal())
@@ -168,7 +136,6 @@ def pde_surface_derivative(mesh, layout, u, p):
 
     values = np.empty(len(nodes))
     normals = np.empty(len(nodes))
-    positions = sm.nodes[nodes]
     t_grid = mesh.t_grid
     for idx, a in enumerate(nodes):
         xi_a = sm.nodes[a]
@@ -202,8 +169,7 @@ def pde_surface_derivative(mesh, layout, u, p):
                                     + inv_nu_jump * np.mean(fluxprod))
             total += 0.5 * (t_grid[j + 1] - t_grid[j]) * np.sum(contrib)
         values[idx] = total
-    return InterfaceDensities(node_ids=nodes, positions=positions,
-                              values=values, normals=normals)
+    return InterfaceDensities(node_ids=nodes, values=values, normals=normals)
 
 
 def magnetization_supplement(mesh, magnetization, magnetization_grad, p,

@@ -309,63 +309,74 @@ def solve_adjoint(mesh, layout, u, objective):
     return Field(u.dofmap, system.solve_transpose(b))
 
 
+def _derivative_integrand(jets, sigma, nu, nu_prime, u_t, u_x, ju, f, grad_f,
+                          p, p_x):
+    """Coefficients (s0, s1) of theta and theta' in the shape-derivative
+    integrand at arrays of points: every term of the transported state form
+    differentiated through the pullback kernels, tested with a function of
+    value p and space slope p_x.
+
+    The state enters through its time and space slopes u_t, u_x and j(u);
+    nu and nu_prime are the reluctivity and its derivative at |u_x|.
+    """
+    hog = jets.h_over_g
+    du_dt = u_t + jets.vhat * u_x
+    c_m = ju + sigma * du_dt * p - f * p
+    s0 = c_m * hog
+    s1 = c_m.copy()
+    # transported convection of the state gradient
+    s0 += -sigma * p * jets.vhat * u_x * hog
+    s1 += -sigma * p * jets.vhat * u_x
+    # derivative of the velocity pullback
+    s0 += sigma * p * u_x * jets.W
+    # derivative of the transported time direction
+    s0 += -sigma * p * u_x * (jets.W + jets.H * jets.q)
+    s1 += -sigma * p * u_x * jets.G * jets.q
+    # diffusion tensor derivative, with the nonlinear correction
+    flux = -(nu + nu_prime * np.abs(u_x)) * u_x * p_x
+    s0 += flux * hog
+    s1 += flux
+    # derivative of the source pullback
+    s0 += -p * jets.G * grad_f
+    return s0, s1
+
+
+def _element_rule(mesh, layout, u, source, spatial_mesh, theta, j, test):
+    """Weighted shape-derivative integrand at the element quadrature points
+    (axis 1) for P1 test functions given by their vertex values test
+    (n_e or 1, 3, k); j is the objective integrand."""
+    geom = element_geometry(mesh, layout)
+    u_t, u_x, u_q = _element_fields(mesh, geom, u.nodal())
+    nu, nu_prime = _reluctivity_arrays(geom, np.abs(u_x))
+    t, x, xi = (a[..., None] for a in (geom.qp_t, geom.qp_x, geom.qp_xi))
+    s0, s1 = _derivative_integrand(
+        jet1d(mesh.motion, t, xi), geom.sigma[:, None, None],
+        nu[:, None, None], nu_prime[:, None, None], u_t[:, None, None],
+        u_x[:, None, None], j(u_q)[..., None], source.values(t, x, xi),
+        source.gradient(t, x, xi), np.einsum("qi,eik->eqk", NQ, test),
+        np.einsum("ei,eik->ek", geom.grad_x, test)[:, None, :])
+    weight = (geom.area / 3.0)[:, None, None]
+    return weight * (s0 * spatial_mesh.interpolate(theta, xi)
+                     + s1 * spatial_mesh.interpolate_gradient(theta, xi))
+
+
 def tangent_rhs(mesh, layout, u, source, spatial_mesh, theta):
     """Right-hand side of the tangent (material-derivative) problem for the
-    spatial design velocity theta, assembled from the pullback kernels."""
-    geom = element_geometry(mesh, layout)
-    dofmap = u.dofmap
-    u_nodal = u.nodal()
-    u_t, u_x, _ = _element_fields(mesh, geom, u_nodal)
-    abs_ux = np.abs(u_x)
-    nu, nu_prime = _reluctivity_arrays(geom, abs_ux)
-
-    jets = jet1d(mesh.motion, geom.qp_t, geom.qp_xi)
-    theta_q = spatial_mesh.interpolate(theta, geom.qp_xi)
-    theta_x_q = spatial_mesh.interpolate_gradient(theta, geom.qp_xi)
-
-    hog = jets.h_over_g
-    m_prime_q = hog * theta_q + theta_x_q
-    fxx_q = m_prime_q
-    a_prime_q = -m_prime_q
-    fxt_q = (jets.W + jets.H * jets.q) * theta_q + jets.G * jets.q * theta_x_q
-    b_prime_q = -fxt_q
-    v1_q = jets.W * theta_q
-
-    f_q = source.values(geom.qp_t, geom.qp_x, geom.qp_xi)
-    grad_f_q = source.gradient(geom.qp_t, geom.qp_x, geom.qp_xi)
-    f1_q = jets.G * grad_f_q * theta_q
-
-    du_dt_q = u_t[:, None] + geom.qp_v * u_x[:, None]
-    sig = geom.sigma[:, None]
-    point_val = (-sig * m_prime_q * du_dt_q
-                 + sig * fxx_q * geom.qp_v * u_x[:, None]
-                 - sig * v1_q * u_x[:, None]
-                 - sig * b_prime_q * u_x[:, None]
-                 + m_prime_q * f_q + f1_q)
-    local = (geom.area / 3.0)[:, None] * (point_val @ NQ)
-
-    flux_coeff = nu[:, None] * a_prime_q - (nu_prime * abs_ux)[:, None] * fxx_q
-    flux = np.sum((geom.area / 3.0)[:, None] * flux_coeff, axis=1)
-    local += -(flux * u_x)[:, None] * geom.grad_x
-    return _scatter_vector(mesh, dofmap, local)
+    spatial design velocity theta: the derivative integrand without j(u),
+    tested with every P1 basis function."""
+    rule = _element_rule(mesh, layout, u, source, spatial_mesh, theta,
+                         np.zeros_like, np.eye(3)[None])
+    return _scatter_vector(mesh, u.dofmap, -np.sum(rule, axis=1))
 
 
 def volume_form_pairing(mesh, layout, u, p, source, objective, spatial_mesh,
                         theta):
     """Shape derivative J'(theta) evaluated with the element quadrature:
-    the determinant-derivative term paired with j(u) plus the adjoint
-    contraction of the tangent right-hand side.  Same volume form as the
-    trajectory densities, different quadrature."""
-    geom = element_geometry(mesh, layout)
-    jets = jet1d(mesh.motion, geom.qp_t, geom.qp_xi)
-    theta_q = spatial_mesh.interpolate(theta, geom.qp_xi)
-    theta_x_q = spatial_mesh.interpolate_gradient(theta, geom.qp_xi)
-    m_prime_q = jets.h_over_g * theta_q + theta_x_q
-    u_q = u.nodal()[mesh.elements] @ NQ.T
-    m_term = float(np.sum((geom.area / 3.0)[:, None] * m_prime_q
-                          * objective.j(u_q)))
-    rhs = tangent_rhs(mesh, layout, u, source, spatial_mesh, theta)
-    return m_term - float(p.values @ rhs)
+    the derivative integrand tested with the adjoint p.  Same volume form
+    as the trajectory densities, different quadrature."""
+    test = p.nodal()[mesh.elements][..., None]
+    return float(np.sum(_element_rule(mesh, layout, u, source, spatial_mesh,
+                                      theta, objective.j, test)))
 
 
 def solve_tangent(mesh, layout, u, source, spatial_mesh, theta):

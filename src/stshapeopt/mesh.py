@@ -272,7 +272,8 @@ def deform_mesh(mesh, theta, tau):
 
 def _diagonal_crossing_times(mesh, x0, cells):
     """Bisection for the times where the trajectories t -> phi_t(x0[p])
-    cross the cell diagonals, one time per (point, slab)."""
+    cross the cell diagonals, one time per (point, slab).  Raises
+    GeometryError when a trajectory does not cross its slab's diagonal."""
     n_pts = len(x0)
     n_t = mesh.n_t
     n_x = mesh.n_x
@@ -304,6 +305,8 @@ def _diagonal_crossing_times(mesh, x0, cells):
     lo = t_lo.astype(float).copy()
     hi = t_hi.astype(float).copy()
     sign_lo = np.sign(gap(lo))
+    if np.any(sign_lo * np.sign(gap(hi)) > 0.0):
+        raise GeometryError("trajectory does not cross a cell diagonal")
     for _ in range(50):
         mid = 0.5 * (lo + hi)
         gm = gap(mid)

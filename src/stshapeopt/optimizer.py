@@ -111,19 +111,21 @@ class LineSearchResult:
 def line_search(mesh, layout, source, objective, state, j_current,
                 direction, tau0, config, newton=None):
     """First step halving of tau0 that decreases the objective on a valid
-    mesh; every candidate re-solves the state.  Returns None when tau falls
-    below tau_min or the halving budget is exhausted."""
+    mesh; every candidate re-solves the state.  A step that inverts an
+    element or whose state solve fails is rejected like one that does not
+    decrease the objective.  Returns None when tau falls below tau_min or
+    the halving budget is exhausted."""
     tau = tau0
     for trial_count in range(config.max_halvings):
         if tau < config.tau_min:
             return None
         try:
             trial_mesh = deform_mesh(mesh, direction, tau)
-        except InvertedElementError:
+            trial = solve_state(trial_mesh, layout, source, newton=newton,
+                                initial_guess=state.u)
+        except (InvertedElementError, SolverError):
             tau *= 0.5
             continue
-        trial = solve_state(trial_mesh, layout, source, newton=newton,
-                            initial_guess=state.u)
         j_trial = evaluate_objective(trial_mesh, trial.u, objective)
         if j_trial < j_current:
             return LineSearchResult(tau=tau, mesh=trial_mesh, state=trial,

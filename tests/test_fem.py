@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import (J0_LIMIT, gauss_rule, identity_problem,
-                     moving_interface_problem, nonlinear_problem,
-                     objective_u, observed_orders, theta_bump)
+from helpers import (J0_LIMIT, direct_element_pairing, gauss_rule,
+                     identity_problem, moving_interface_problem,
+                     nonlinear_problem, objective_u, observed_orders,
+                     theta_bump)
 from stshapeopt import (CallableSource, ConstantReluctivity, Identity,
                         PhaseLayout, PhaseMaterial, Polynomial1D,
                         ReluctivityCurve, assemble_state_jacobian,
@@ -13,7 +14,8 @@ from stshapeopt import (CallableSource, ConstantReluctivity, Identity,
 from stshapeopt.errors import AssemblyError, NonconvergenceError
 from stshapeopt.fem import (NQ, DofMap, Field, NewtonOptions,
                             _residual_local, element_geometry,
-                            objective_gradient_vector, tangent_rhs)
+                            objective_gradient_vector, tangent_rhs,
+                            volume_form_pairing)
 
 RNG = np.random.default_rng(23)
 
@@ -331,6 +333,26 @@ def test_adjoint_tangent_duality_is_exact(problem):
     lhs = objective_gradient_vector(mesh, u, objective) @ udot.values
     rhs = -(p.values @ tangent_rhs(mesh, layout, u, source, sm, theta))
     assert abs(lhs - rhs) < 1e-8 * (abs(lhs) + 1e-12)
+
+
+@pytest.mark.parametrize("problem", [moving_interface_problem,
+                                     nonlinear_problem],
+                         ids=["linear", "curve_law"])
+def test_element_rule_matches_direct_kernel_evaluation(problem):
+    mesh, layout, source, objective = problem(8, 6)
+    u = solve_state(mesh, layout, source).u
+    p = solve_adjoint(mesh, layout, u, objective)
+    sm = mesh.spatial_mesh()
+    theta = theta_bump(sm)
+    direct = direct_element_pairing(mesh, layout, u, p, source, objective,
+                                    theta)
+    m_term = direct_element_pairing(mesh, layout, u, Field.zeros(u.dofmap),
+                                    source, objective, theta)
+    pairing = volume_form_pairing(mesh, layout, u, p, source, objective, sm,
+                                  theta)
+    rhs = tangent_rhs(mesh, layout, u, source, sm, theta)
+    assert abs(pairing - direct) <= 1e-10 * abs(direct)
+    assert abs(m_term - p.values @ rhs - direct) <= 1e-10 * abs(direct)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,16 @@ def test_vertical_line_boundary_nudge_and_exit():
     assert len(right) == 8
     with pytest.raises(GeometryError):
         vertical_line_elements(mesh, 1.2)
+
+
+def test_trajectory_that_misses_the_diagonals_raises():
+    # vertices placed by the identity motion, trajectories followed with the
+    # polynomial one: at xi = 0.9 no slab's diagonal is crossed
+    mesh = dataclasses.replace(
+        generate_mesh(8, 4, (0.4, 0.6), Identity(dim=1)),
+        motion=Polynomial1D())
+    with pytest.raises(GeometryError, match="does not cross"):
+        trajectory_intervals(mesh, np.array([0.9]))
 
 
 def test_trajectory_intervals_batch_matches_single():

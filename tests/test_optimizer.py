@@ -9,7 +9,8 @@ from stshapeopt import (DescentConfig, hilbertian_direction, line_search,
                         optimize, pde_volume_densities, solve_adjoint,
                         solve_state)
 from stshapeopt.derivative import DerivativeDensities
-from stshapeopt.errors import ConfigError, SolverError
+from stshapeopt.errors import (ConfigError, NonconvergenceError,
+                               SolverError)
 from stshapeopt.mesh import SpatialMesh
 from stshapeopt.optimizer import write_history_csv
 
@@ -123,6 +124,27 @@ def test_line_search_halves_geometry_violations_before_solving(monkeypatch):
     assert result is not None
     assert result.tau < tau0 / 2.0
     assert len(calls) < 60
+
+
+@pytest.mark.parametrize("error", [NonconvergenceError, SolverError])
+def test_line_search_halves_failed_trial_solves(monkeypatch, error):
+    mesh, layout, source, objective, state, j0, direction, _ = descent_setup()
+    calls = []
+    real_solve = opt_mod.solve_state
+
+    def failing_first_solve(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise error("trial state solve failed")
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(opt_mod, "solve_state", failing_first_solve)
+    config = DescentConfig(tau_init=100.0)
+    result = line_search(mesh, layout, source, objective, state, j0,
+                         direction, config.tau_init, config)
+    assert result is not None
+    assert result.trials >= 2
+    assert result.objective_value < j0
 
 
 def test_optimize_zero_source_stops_at_origin():

@@ -183,12 +183,16 @@ def assemble_state_jacobian(mesh, layout, u):
 
 
 class LinearSystem:
-    """Sparse direct solve with a relative-residual contract of 1e-12."""
+    """Sparse direct solve with a relative-residual contract of 1e-12.
+
+    The space-time Jacobian is structurally close to symmetric, so SuperLU
+    orders its columns by minimum degree on A^T + A, which fills far less
+    than the default COLAMD ordering (X. S. Li, ACM TOMS 31(3), 2005)."""
 
     def __init__(self, matrix):
         self.matrix = matrix
         try:
-            self.lu = spla.splu(matrix)
+            self.lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SolverError(f"factorization failed: {exc}") from exc
 
@@ -203,7 +207,8 @@ class LinearSystem:
                 return x
             x = x + self.lu.solve(r, trans=trans)
         r = b - mat @ x
-        if np.linalg.norm(r) > LINEAR_RESIDUAL_TOL * scale:
+        # Written so that a NaN residual fails the contract too.
+        if not np.linalg.norm(r) <= LINEAR_RESIDUAL_TOL * scale:
             raise SolverError("direct solve missed the residual contract")
         return x
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from helpers import (J0_LIMIT, direct_element_pairing, gauss_rule,
                      identity_problem, moving_interface_problem,
@@ -11,8 +13,8 @@ from stshapeopt import (CallableSource, ConstantReluctivity, Identity,
                         assemble_state_residual, deform_mesh,
                         evaluate_objective, generate_mesh, solve_adjoint,
                         solve_state, solve_tangent)
-from stshapeopt.errors import AssemblyError, NonconvergenceError
-from stshapeopt.fem import (NQ, DofMap, Field, NewtonOptions,
+from stshapeopt.errors import AssemblyError, NonconvergenceError, SolverError
+from stshapeopt.fem import (NQ, DofMap, Field, LinearSystem, NewtonOptions,
                             _residual_local, element_geometry,
                             objective_gradient_vector, tangent_rhs,
                             volume_form_pairing)
@@ -136,6 +138,37 @@ def test_newton_failure_raises_with_residual():
     with pytest.raises(NonconvergenceError):
         solve_state(mesh, layout, source,
                     newton=NewtonOptions(tol=1e-14, max_iter=1))
+
+
+# ---------------------------------------------------------------------------
+# direct solves
+
+
+@pytest.mark.parametrize("method", ["solve", "solve_transpose"])
+def test_linear_system_rejects_non_finite_right_hand_side(method):
+    matrix = sp.csc_matrix(np.array([[4.0, 1.0, 0.0],
+                                     [1.0, 3.0, 1.0],
+                                     [0.0, 2.0, 5.0]]))
+    system = LinearSystem(matrix)
+    with pytest.raises(SolverError, match="residual contract"):
+        getattr(system, method)(np.array([1.0, np.nan, 0.0]))
+
+
+def test_factorization_uses_fill_reducing_ordering():
+    mesh, layout, _, _ = moving_interface_problem(48)
+    matrix = assemble_state_jacobian(mesh, layout,
+                                     Field.zeros(DofMap.from_mesh(mesh)))
+    ours, plain = LinearSystem(matrix).lu, spla.splu(matrix)
+    assert ours.L.nnz + ours.U.nnz < plain.L.nnz + plain.U.nnz
+
+    mesh, layout, source, _ = nonlinear_problem(48)
+    u = solve_state(mesh, layout, source).u
+    matrix = assemble_state_jacobian(mesh, layout, u)
+    system = LinearSystem(matrix)
+    b = RNG.standard_normal(u.dofmap.n_free)
+    for x, mat in ((system.solve(b), matrix),
+                   (system.solve_transpose(b), matrix.T)):
+        assert np.linalg.norm(b - mat @ x) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_benchmark_objective_value_and_trend():

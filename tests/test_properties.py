@@ -1,12 +1,16 @@
-"""Property tests of the shape derivative on random design velocities and
-mesh sizes.  Examples are derandomized, so every run draws the same cases."""
+"""Property tests of the motions, the mesh and the shape derivative on random
+points, design velocities and mesh sizes.  Examples are derandomized, so
+every run draws the same cases."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from helpers import moving_interface_problem, nonlinear_problem
+from helpers import (PAPER_INTERFACES, moving_interface_problem,
+                     nonlinear_problem)
+from stshapeopt import (CustomMotion, Polynomial1D, Rotation2D, deform_mesh,
+                        generate_mesh)
 from stshapeopt.derivative import pde_volume_densities
-from stshapeopt.fem import (objective_gradient_vector, solve_adjoint,
+from stshapeopt.fem import (DofMap, objective_gradient_vector, solve_adjoint,
                             solve_state, solve_tangent, tangent_rhs,
                             volume_form_pairing)
 
@@ -14,6 +18,29 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 PROBLEMS = st.sampled_from([moving_interface_problem, nonlinear_problem])
 SIZES = st.integers(6, 16)
 COEFFICIENTS = st.floats(-2.0, 2.0)
+UNIT = st.floats(0.0, 1.0)
+
+
+def wavy_motion():
+    """phi_t(x) = x + 0.3 t sin(pi x), monotone for t in [0, 1]; it has no
+    closed-form inverse, so inversion takes the generic Newton path."""
+    return CustomMotion(
+        1,
+        forward=lambda t, x: x + 0.3 * t * np.sin(np.pi * x),
+        grad=lambda t, x: (1.0 + 0.3 * np.pi * t
+                           * np.cos(np.pi * x))[..., None],
+        grad2=lambda t, x: (-0.3 * np.pi ** 2 * t
+                            * np.sin(np.pi * x))[..., None, None],
+        dt=lambda t, x: 0.3 * np.sin(np.pi * x),
+        dt_grad=lambda t, x: (0.3 * np.pi * np.cos(np.pi * x))[..., None])
+
+
+def image_points(data, motion, t):
+    """A few points of the image of [0, 1]^dim under phi_t."""
+    n = data.draw(st.integers(1, 8))
+    x = np.array(data.draw(st.lists(UNIT, min_size=n * motion.dim,
+                                    max_size=n * motion.dim)))
+    return motion.forward(t, x.reshape(n, motion.dim))
 
 
 def design_velocity(data, n_x):
@@ -30,6 +57,43 @@ def solved(data):
     u = solve_state(mesh, layout, source).u
     p = solve_adjoint(mesh, layout, u, objective)
     return mesh, layout, source, objective, u, p
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from([Polynomial1D, Rotation2D, wavy_motion]),
+       UNIT)
+def test_motion_inverse_round_trip(data, make_motion, t):
+    motion = make_motion()
+    y = image_points(data, motion, t)
+    assert np.max(np.abs(motion.forward(t, motion.inverse(t, y)) - y)) \
+        <= 1e-12 * max(1.0, np.max(np.abs(y)))
+
+
+@PROPERTY
+@given(st.data(), st.floats(-1.0, 1.0))
+def test_deform_back_and_forth_returns_the_vertices(data, fraction):
+    n_x = data.draw(SIZES)
+    mesh = generate_mesh(n_x, data.draw(SIZES), PAPER_INTERFACES,
+                         Polynomial1D())
+    theta = design_velocity(data, n_x)
+    # |theta| <= 1, so nodes move less than half the narrowest gap.
+    tau = 0.25 * fraction * np.min(np.diff(mesh.xi_nodes))
+    back = deform_mesh(deform_mesh(mesh, theta, tau), theta, -tau)
+    assert np.max(np.abs(back.vertices - mesh.vertices)) <= 1e-14
+    assert np.max(np.abs(back.xi_nodes - mesh.xi_nodes)) <= 1e-15
+
+
+@PROPERTY
+@given(st.integers(4, 16), st.integers(2, 16))
+def test_periodic_dofmap_invariants(n_x, n_t):
+    mesh = generate_mesh(n_x, n_t, PAPER_INTERFACES, Polynomial1D())
+    dofmap = DofMap.from_mesh(mesh)
+    dof = dofmap.vertex_dof
+    lateral = mesh.lateral_vertex_mask()
+    assert np.all(dof[lateral] == -1)
+    bottom, top = mesh.periodic_pairs.T
+    assert np.array_equal(dof[top], dof[bottom])
+    assert np.array_equal(np.unique(dof[~lateral]), np.arange(dofmap.n_free))
 
 
 @PROPERTY

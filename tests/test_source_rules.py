@@ -17,3 +17,38 @@ def test_package_raises_named_errors_instead_of_asserting():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def factorization_sites(tree):
+    """(enclosing class, enclosing function) of every reference to a SuperLU
+    factorization entry point."""
+    names = {"splu", "factorized"}
+    sites = []
+
+    def visit(node, owner, function):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        hit = (isinstance(node, ast.Attribute) and node.attr in names
+               or isinstance(node, ast.Name) and node.id in names
+               or isinstance(node, ast.alias) and node.name in names)
+        if hit:
+            sites.append((owner, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, function)
+
+    visit(tree, None, None)
+    return sites
+
+
+def test_only_linear_system_factors():
+    # One factorization path keeps the fill-reducing column ordering from
+    # being forked; optimizer's tridiagonal spsolve is not a factor call.
+    found = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        sites = factorization_sites(tree)
+        if sites:
+            found[path.name] = sites
+    assert found == {"fem.py": [("LinearSystem", "__init__")]}

@@ -114,20 +114,57 @@ def _element_fields(mesh, geom, u_nodal):
 
 def _scatter_vector(mesh, dofmap, local):
     rows = dofmap.vertex_dof[mesh.elements]
-    out = np.zeros(dofmap.n_free)
     valid = rows >= 0
-    np.add.at(out, rows[valid], local[valid])
-    return out
+    return np.bincount(rows[valid], local[valid], minlength=dofmap.n_free)
+
+
+_ASSEMBLY_PLAN = [None]
+_COLUMN_ORDER = [None]
+
+
+def _held(cache, key):
+    """Value of a one-entry [(key, value)] cache whose key equals ``key``."""
+    entry = cache[0]
+    if entry is not None and all(map(np.array_equal, entry[0], key)):
+        return entry[1]
+
+
+def _assembly_plan(dofs, n_free):
+    """CSC pattern, and per stored entry the flat ids of the local 3x3
+    entries it sums, in the order COO-to-CSC conversion adds them: a stable
+    bucket by column, SciPy's per-column index sort, then left to right."""
+    dofs = dofs.astype(np.int32)
+    rows = np.repeat(dofs, 3, axis=1).ravel()
+    cols = np.tile(dofs, (1, 3)).ravel()
+    ids = np.flatnonzero((rows >= 0) & (cols >= 0)).astype(np.int32)
+    ids = ids[np.argsort(cols[ids], kind="stable")]
+    cols = cols[ids]
+    bounds = np.arange(n_free + 1)
+    csc = sp.csc_matrix((ids, rows[ids], np.searchsorted(cols, bounds)))
+    csc.sort_indices()
+    first = np.r_[True, (csc.indices[1:] != csc.indices[:-1])
+                  | (cols[1:] != cols[:-1])]
+    slot = np.cumsum(first, dtype=np.int32) - 1
+    rank = np.arange(len(ids), dtype=np.int32) \
+        - np.flatnonzero(first).astype(np.int32)[slot]
+    adds = [(slot[rank == k], csc.data[rank == k])
+            for k in range(1, rank.max() + 1)]
+    return (np.searchsorted(cols[first], bounds).astype(np.int32),
+            csc.indices[first], csc.data[first], adds)
 
 
 def _scatter_matrix(mesh, dofmap, local):
-    rows = np.repeat(dofmap.vertex_dof[mesh.elements], 3, axis=1)
-    cols = np.tile(dofmap.vertex_dof[mesh.elements], (1, 3))
-    data = local.reshape(mesh.n_elements, 9)
-    valid = (rows >= 0) & (cols >= 0)
-    mat = sp.coo_matrix((data[valid], (rows[valid], cols[valid])),
-                        shape=(dofmap.n_free, dofmap.n_free))
-    return mat.tocsc()
+    key = (dofmap.vertex_dof[mesh.elements], dofmap.n_free)
+    plan = _held(_ASSEMBLY_PLAN, key) or _assembly_plan(*key)
+    _ASSEMBLY_PLAN[0] = (key, plan)
+    indptr, indices, first, adds = plan
+    flat = local.reshape(-1)
+    data = flat[first]
+    for slots, ids in adds:
+        data[slots] += flat[ids]
+    # The cached pattern is copied, so no caller can alter it.
+    return sp.csc_matrix((data, indices.copy(), indptr.copy()),
+                         shape=(dofmap.n_free, dofmap.n_free))
 
 
 def _load_vector(mesh, geom, dofmap, source):
@@ -187,25 +224,46 @@ class LinearSystem:
 
     The space-time Jacobian is structurally close to symmetric, so SuperLU
     orders its columns by minimum degree on A^T + A, which fills far less
-    than the default COLAMD ordering (X. S. Li, ACM TOMS 31(3), 2005)."""
+    than the default COLAMD ordering (X. S. Li, ACM TOMS 31(3), 2005).
+    The ordering depends only on the pattern, so it is computed once per
+    pattern; later matrices factor A[:, order] in natural order."""
 
     def __init__(self, matrix):
-        self.matrix = matrix
+        self.matrix = matrix = sp.csc_matrix(matrix)
+        pattern = (matrix.indptr, matrix.indices)
+        identity = np.arange(matrix.shape[1])
+        self.order, self.position, ids = _held(_COLUMN_ORDER, pattern) \
+            or (identity, identity, None)
+        target = matrix if ids is None else sp.csc_matrix(
+            (matrix.data[ids.data], ids.indices, ids.indptr), matrix.shape)
         try:
-            self.lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A")
+            self.lu = spla.splu(target, permc_spec="MMD_AT_PLUS_A"
+                                if ids is None else "NATURAL")
         except RuntimeError as exc:
             raise SolverError(f"factorization failed: {exc}") from exc
+        if ids is None:
+            # perm_c[i] is the position that column i of A takes; it is a
+            # view that would keep this factor alive, so no cache holds it.
+            order = np.argsort(self.lu.perm_c)
+            ids = sp.csc_matrix((np.arange(matrix.nnz, dtype=np.int32),
+                                 matrix.indices, matrix.indptr))[:, order]
+            _COLUMN_ORDER[0] = (tuple(map(np.copy, pattern)),
+                                (order, np.argsort(order), ids))
+
+    def _lu_solve(self, b, transpose):
+        if transpose:
+            return self.lu.solve(b[self.order], trans="T")
+        return self.lu.solve(b)[self.position]
 
     def _refined(self, b, transpose):
-        trans = "T" if transpose else "N"
         mat = self.matrix.T if transpose else self.matrix
-        x = self.lu.solve(b, trans=trans)
+        x = self._lu_solve(b, transpose)
         scale = max(np.linalg.norm(b), 1.0)
         for _ in range(2):
             r = b - mat @ x
             if np.linalg.norm(r) <= LINEAR_RESIDUAL_TOL * scale:
                 return x
-            x = x + self.lu.solve(r, trans=trans)
+            x = x + self._lu_solve(r, transpose)
         r = b - mat @ x
         # Written so that a NaN residual fails the contract too.
         if not np.linalg.norm(r) <= LINEAR_RESIDUAL_TOL * scale:

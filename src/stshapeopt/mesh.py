@@ -170,9 +170,9 @@ def mesh_geometry(mesh):
     grad_t = e[:, :, 1] / two_a
     grad_x = -e[:, :, 0] / two_a
 
-    qp = np.einsum("qi,eid->eqd", NQ, p)
-    qp_t = qp[:, :, 0]
-    qp_x = qp[:, :, 1]
+    qp = NQ[:, 0, None] * p[:, None, 0] + NQ[:, 1, None] * p[:, None, 1] \
+        + NQ[:, 2, None] * p[:, None, 2]
+    qp_t, qp_x = np.moveaxis(qp, 2, 0)
     flat_xi = mesh.motion.inverse(qp_t.ravel(), qp_x.ravel()[:, None])[:, 0]
     qp_v = mesh.motion.dt(qp_t.ravel(), flat_xi[:, None])[:, 0]
     geom = MeshGeometry(area=area, grad_t=grad_t, grad_x=grad_x,
@@ -251,14 +251,16 @@ def deform_mesh(mesh, theta, tau):
     """Move the spatial reference nodes by tau * theta and push forward.
 
     ``theta`` holds one displacement per spatial node; connectivity, phase
-    labels and the periodic pairing are unchanged.  Raises
-    InvertedElementError when the update flips an element.
+    labels and the periodic pairing are unchanged.  Raises GeometryError if it
+    moves the design boundary, InvertedElementError if it flips an element.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != mesh.xi_nodes.shape:
         raise GeometryError(f"deformation has {theta.shape[0]} nodes, mesh "
                             f"has {mesh.xi_nodes.shape[0]}")
     new_xi_nodes = mesh.xi_nodes + tau * theta
+    if np.any(new_xi_nodes[[0, -1]] != mesh.xi_nodes[[0, -1]]):
+        raise GeometryError("deformation moves the design boundary")
     new_ref = new_xi_nodes[mesh.column]
     t_v = mesh.vertices[:, 0]
     x_v = mesh.motion.forward(t_v, new_ref[:, None])[:, 0]

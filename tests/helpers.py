@@ -1,10 +1,15 @@
 """Shared builders and independent oracles for the test suite."""
 
+from unittest import mock
+
 import numpy as np
+import scipy.sparse as sp
 
 from stshapeopt import (AnalyticSource, ConstantReluctivity, Objective,
                         PhaseLayout, PhaseMaterial, Polynomial1D,
-                        ReluctivityCurve, Identity, generate_mesh)
+                        ReluctivityCurve, Identity, assemble_state_jacobian,
+                        generate_mesh)
+from stshapeopt import fem
 from stshapeopt import kernels as kn
 from stshapeopt.derivative import _element_planes
 from stshapeopt.mesh import NQ, trajectory_intervals
@@ -57,6 +62,29 @@ def theta_bump(spatial_mesh):
     """Smooth asymmetric design velocity vanishing at the design boundary."""
     x = spatial_mesh.nodes
     return np.sin(np.pi * x) * (0.5 + 0.3 * np.sin(2.0 * np.pi * x))
+
+
+def coo_jacobian(mesh, layout, u):
+    """The state Jacobian, and the same local 3x3 contributions assembled
+    the plain way: COO triplets converted to CSC, which sums duplicates.
+    The fixed-pattern assembly must equal the second bit for bit."""
+    with mock.patch.object(fem, "_scatter_matrix",
+                           wraps=fem._scatter_matrix) as scatter:
+        matrix = assemble_state_jacobian(mesh, layout, u)
+    _, dofmap, local = scatter.call_args.args
+    dofs = dofmap.vertex_dof[mesh.elements]
+    rows = np.repeat(dofs, 3, axis=1)
+    cols = np.tile(dofs, (1, 3))
+    valid = (rows >= 0) & (cols >= 0)
+    oracle = sp.coo_matrix(
+        (local.reshape(-1, 9)[valid], (rows[valid], cols[valid])),
+        shape=(dofmap.n_free, dofmap.n_free)).tocsc()
+    return matrix, oracle
+
+
+def same_csc(a, b):
+    return all(np.array_equal(getattr(a, name), getattr(b, name))
+               for name in ("indptr", "indices", "data"))
 
 
 # ---------------------------------------------------------------------------

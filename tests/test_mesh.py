@@ -3,14 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import moving_interface_problem
+from helpers import moving_interface_problem, theta_bump
 from stshapeopt import (ConstantReluctivity, Identity, PhaseLayout,
                         PhaseMaterial, Polynomial1D, deform_mesh,
                         generate_mesh, pde_volume_densities, solve_adjoint,
                         solve_state, vertical_line_elements)
 from stshapeopt.errors import GeometryError, InvertedElementError
 from stshapeopt.fem import element_geometry
-from stshapeopt.mesh import mesh_geometry, trajectory_intervals
+from stshapeopt.mesh import NQ, mesh_geometry, trajectory_intervals
 
 
 def test_structured_counts_and_phases_identity():
@@ -107,6 +107,15 @@ def test_deform_inversion_raises():
     theta[4] = 1.0
     with pytest.raises(InvertedElementError):
         deform_mesh(mesh, theta, 1.0)
+
+
+@pytest.mark.parametrize("end", [0, -1], ids=["left", "right"])
+def test_deformation_that_moves_the_design_boundary_raises(end):
+    mesh = generate_mesh(8, 4, (0.4, 0.6), Polynomial1D())
+    theta = np.zeros(9)
+    theta[end] = 1.0
+    with pytest.raises(GeometryError, match="design boundary"):
+        deform_mesh(mesh, theta, 0.01)
 
 
 def test_vertical_line_crosses_two_triangles_per_slab():
@@ -272,3 +281,17 @@ def test_deformed_mesh_gets_fresh_geometry(monkeypatch):
     assert back_geom is not base
     assert np.allclose(back_geom.qp_xi, base.qp_xi, rtol=0.0, atol=1e-14)
     assert not base.area.flags.writeable
+
+
+@pytest.mark.parametrize("motion", [Polynomial1D(), Identity(dim=1)],
+                         ids=["polynomial", "identity"])
+def test_quadrature_points_equal_the_einsum_reference(motion):
+    # mesh_geometry sums vertex by vertex in einsum's order; matmul and
+    # optimized einsum are faster but round differently.
+    mesh = generate_mesh(48, 48, (0.4, 0.6), motion)
+    deformed = deform_mesh(mesh, theta_bump(mesh.spatial_mesh()), 0.03)
+    for m in (mesh, deformed):
+        qp = np.einsum("qi,eid->eqd", NQ, m.vertices[m.elements])
+        geom = mesh_geometry(m)
+        assert np.array_equal(geom.qp_t, qp[:, :, 0])
+        assert np.array_equal(geom.qp_x, qp[:, :, 1])

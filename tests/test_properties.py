@@ -5,14 +5,14 @@ every run draws the same cases."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from helpers import (PAPER_INTERFACES, moving_interface_problem,
-                     nonlinear_problem)
+from helpers import (PAPER_INTERFACES, coo_jacobian, identity_problem,
+                     moving_interface_problem, nonlinear_problem, same_csc)
 from stshapeopt import (CustomMotion, Polynomial1D, Rotation2D, deform_mesh,
                         generate_mesh)
 from stshapeopt.derivative import pde_volume_densities
-from stshapeopt.fem import (DofMap, objective_gradient_vector, solve_adjoint,
-                            solve_state, solve_tangent, tangent_rhs,
-                            volume_form_pairing)
+from stshapeopt.fem import (DofMap, Field, objective_gradient_vector,
+                            solve_adjoint, solve_state, solve_tangent,
+                            tangent_rhs, volume_form_pairing)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 PROBLEMS = st.sampled_from([moving_interface_problem, nonlinear_problem])
@@ -94,6 +94,22 @@ def test_periodic_dofmap_invariants(n_x, n_t):
     bottom, top = mesh.periodic_pairs.T
     assert np.array_equal(dof[top], dof[bottom])
     assert np.array_equal(np.unique(dof[~lateral]), np.arange(dofmap.n_free))
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from([moving_interface_problem,
+                                   nonlinear_problem, identity_problem]),
+       st.floats(-1.0, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_jacobian_equals_coo_assembly(data, problem, fraction, seed):
+    n_x = data.draw(SIZES)
+    mesh, layout, _, _ = problem(n_x, data.draw(SIZES))
+    tau = 0.25 * fraction * np.min(np.diff(mesh.xi_nodes))
+    mesh = deform_mesh(mesh, design_velocity(data, n_x), tau)
+    dofmap = DofMap.from_mesh(mesh)
+    u = Field(dofmap, 1e-3 * np.random.default_rng(seed).standard_normal(
+        dofmap.n_free))
+    matrix, oracle = coo_jacobian(mesh, layout, u)
+    assert same_csc(matrix, oracle)
 
 
 @PROPERTY

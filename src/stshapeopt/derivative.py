@@ -127,48 +127,35 @@ def pde_surface_derivative(mesh, layout, u, p):
             "surface form is only available for constant reluctivity laws")
     sm = mesh.spatial_mesh()
     nodes = sm.interface_nodes()
-    if len(nodes) == 0:
-        return InterfaceDensities(node_ids=np.array([], dtype=int),
-                                  values=np.array([]), normals=np.array([]))
-
-    u0, u_t, u_x, _, _ = _element_planes(mesh, u.nodal())
+    _, u_t, u_x, _, _ = _element_planes(mesh, u.nodal())
     p0, p_t, p_x, t0, x0 = _element_planes(mesh, p.nodal())
+    nu = _reluctivity_arrays(element_geometry(mesh, layout), np.abs(u_x))[0]
+    mat_in, mat_out = layout.material(1), layout.material(2)
+    sigma_jump = mat_out.sigma - mat_in.sigma
+    inv_nu_jump = 1.0 / mat_out.nu.value - 1.0 / mat_in.nu.value
 
-    values = np.empty(len(nodes))
-    normals = np.empty(len(nodes))
-    t_grid = mesh.t_grid
-    for idx, a in enumerate(nodes):
-        xi_a = sm.nodes[a]
-        inner_is_right = sm.phases[a] == 1
-        normals[idx] = -1.0 if inner_is_right else 1.0
-        mat_in = layout.material(1)
-        mat_out = layout.material(2)
-        sigma_jump = mat_out.sigma - mat_in.sigma
-        inv_nu_jump = 1.0 / mat_out.nu.value - 1.0 / mat_in.nu.value
+    # Arrays are shaped (interface, slab, time, side).  The vertical edge at
+    # node a in slab j lies in cell i = a - 1 (minus side) and i = a (plus
+    # side); a cell split on the rising diagonal holds its left edge in its
+    # second element and its right edge in its first.
+    j = np.arange(mesh.n_t)[:, None]
+    i = nodes[:, None, None] + np.array([-1, 0])
+    rising = (i + j) % 2 == 0
+    e = (2 * (j * mesh.n_x + i) + (rising ^ [True, False]))[:, :, None]
+    t, xi = np.broadcast_arrays(mesh.t_grid[j + [0, 1]],
+                                sm.nodes[nodes][:, None, None])
+    x = mesh.motion.forward(t.ravel(), xi.ravel()[:, None])[:, 0] \
+        .reshape(t.shape)[..., None]
+    jet = jet1d(mesh.motion, t, xi)
 
-        total = 0.0
-        for j in range(mesh.n_t):
-            e_minus = mesh.edge_element(a, j, "minus")
-            e_plus = mesh.edge_element(a, j, "plus")
-            contrib = np.empty(2)
-            for k, t in enumerate((t_grid[j], t_grid[j + 1])):
-                x_a = mesh.motion.forward(np.array([t]),
-                                          np.array([[xi_a]]))[0, 0]
-                jet = jet1d(mesh.motion, np.array([t]), np.array([xi_a]))
-                det = abs(jet.G[0])
-                v_pt = jet.vhat[0]
-                dudt = np.empty(2)
-                fluxprod = np.empty(2)
-                for s, e in enumerate((e_minus, e_plus)):
-                    p_val = p0[e] + p_t[e] * (t - t0[e]) \
-                        + p_x[e] * (x_a - x0[e])
-                    dudt[s] = (u_t[e] + v_pt * u_x[e]) * p_val
-                    nu_side = layout.material(mesh.phases[e]).nu.value
-                    fluxprod[s] = (nu_side * u_x[e]) * (nu_side * p_x[e])
-                contrib[k] = det * (-sigma_jump * np.mean(dudt)
-                                    + inv_nu_jump * np.mean(fluxprod))
-            total += 0.5 * (t_grid[j + 1] - t_grid[j]) * np.sum(contrib)
-        values[idx] = total
+    p_val = p0[e] + p_t[e] * (t[..., None] - t0[e]) + p_x[e] * (x - x0[e])
+    dudt = (u_t[e] + jet.vhat[..., None] * u_x[e]) * p_val
+    fluxprod = (nu[e] * u_x[e]) * (nu[e] * p_x[e])
+    contrib = np.abs(jet.G) * (-sigma_jump * np.mean(dudt, axis=-1)
+                               + inv_nu_jump * np.mean(fluxprod, axis=-1))
+    values = np.sum(0.5 * np.diff(mesh.t_grid) * np.sum(contrib, axis=-1),
+                    axis=1)
+    normals = np.where(sm.phases[nodes] == 1, -1.0, 1.0)
     return InterfaceDensities(node_ids=nodes, values=values, normals=normals)
 
 

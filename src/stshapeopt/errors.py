@@ -33,6 +33,10 @@ class UnsupportedCaseError(StshapeoptError):
     """The requested operation is outside the supported problem class."""
 
 
+class ExpressionError(StshapeoptError, ValueError):
+    """Analytic expression text outside the grammar of `expressions`."""
+
+
 class ConfigError(StshapeoptError):
     """Run-configuration parsing or validation failure."""
 

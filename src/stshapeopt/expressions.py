@@ -1,125 +1,24 @@
 """Small analytic expression grammar for run configurations.
 
-Supports numbers, named variables, `pi`, the operators + - * / ** (also ^),
-unary minus, parentheses and the functions sqrt, sin, cos.  Exponents must
-be numeric constants.  Expressions evaluate over numpy arrays and carry
-exact symbolic derivatives with respect to their variables.
+The text must be one expression built from numbers, named variables, `pi`,
+the operators + - * / ** (also ^, which means **), unary minus, parentheses
+and the functions sqrt, sin, cos.  Exponents must be numeric constants.  It
+is parsed with Python's `ast`; any other Python syntax is rejected.
+Expressions evaluate over numpy arrays and carry exact symbolic derivatives
+with respect to their variables.
 """
 
-import re
+import ast
 
 import numpy as np
 
+from .errors import ExpressionError
+
 FUNCTIONS = ("sqrt", "sin", "cos")
-
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-                    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-                    r"|(?P<op>\*\*|[-+*/^()]))")
-
-
-class ExpressionError(ValueError):
-    pass
-
-
-def _tokenize(text):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ExpressionError(
-                f"unexpected character {text[pos]!r} at position {pos}")
-        if m.group("num") is not None:
-            tokens.append(("num", float(m.group("num"))))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name")))
-        else:
-            op = m.group("op")
-            tokens.append(("op", "**" if op == "^" else op))
-        pos = m.end()
-    tokens.append(("end", None))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.k = 0
-
-    def peek(self):
-        return self.tokens[self.k]
-
-    def take(self, kind=None, value=None):
-        tok = self.tokens[self.k]
-        if kind is not None and tok[0] != kind:
-            raise ExpressionError(f"expected {kind}, found {tok[1]!r}")
-        if value is not None and tok[1] != value:
-            raise ExpressionError(f"expected {value!r}, found {tok[1]!r}")
-        self.k += 1
-        return tok
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.take()[1]
-            rhs = self.term()
-            node = _add(node, rhs) if op == "+" else _sub(node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.take()[1]
-            rhs = self.unary()
-            node = _mul(node, rhs) if op == "*" else ("div", node, rhs)
-        return node
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            return _sub(("num", 0.0), self.unary())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == ("op", "**"):
-            self.take()
-            exponent = self.unary()
-            exponent = _fold_constant(exponent)
-            if exponent[0] != "num":
-                raise ExpressionError("exponent must be a numeric constant")
-            return ("pow", base, exponent[1])
-        return base
-
-    def atom(self):
-        kind, value = self.peek()
-        if kind == "num":
-            self.take()
-            return ("num", value)
-        if kind == "name":
-            self.take()
-            if value in FUNCTIONS:
-                self.take("op", "(")
-                arg = self.expr()
-                self.take("op", ")")
-                return ("call", value, arg)
-            if value == "pi":
-                return ("num", np.pi)
-            return ("var", value)
-        if (kind, value) == ("op", "("):
-            self.take()
-            node = self.expr()
-            self.take("op", ")")
-            return node
-        raise ExpressionError(f"unexpected token {value!r}")
 
 
 def _fold_constant(node):
-    if node[0] in ("num", "var"):
-        return node
-    if node[0] == "call":
+    if node[0] in ("num", "var", "call"):
         return node
     if node[0] == "pow":
         base = _fold_constant(node[1])
@@ -165,6 +64,53 @@ def _mul(a, b):
     if _is_one(b):
         return a
     return ("mul", a, b)
+
+
+def _parse(text):
+    # `^` binds more loosely than `+` in Python, so it becomes `**` first;
+    # a leading blank would make ast report an indentation error.
+    source = text.strip().replace("^", "**")
+    try:
+        tree = ast.parse(source, mode="eval")
+    except SyntaxError as exc:
+        raise ExpressionError(f"cannot parse {text!r}: {exc.msg}") from None
+    return _convert(tree.body, source.encode().splitlines())
+
+
+_BINARY = {ast.Add: _add, ast.Sub: _sub, ast.Mult: _mul,
+           ast.Div: lambda a, b: ("div", a, b)}
+
+
+def _convert(node, lines):
+    """Node tuple of an ast node, through the simplifying builders; ``lines``
+    are the source lines as bytes, which ast's column offsets count."""
+    op = type(getattr(node, "op", None))
+    if isinstance(node, ast.Constant):
+        # float() of the literal's text rejects 0x1F, 1j, True and strings
+        literal = lines[node.lineno - 1][node.col_offset:node.end_col_offset]
+        try:
+            return ("num", float(literal))
+        except ValueError:
+            raise ExpressionError(
+                f"unsupported literal {literal.decode()!r}") from None
+    elif isinstance(node, ast.Name):
+        return ("num", np.pi) if node.id == "pi" else ("var", node.id)
+    elif op is ast.USub:
+        return _sub(("num", 0.0), _convert(node.operand, lines))
+    elif isinstance(node, ast.BinOp) and op in _BINARY:
+        return _BINARY[op](_convert(node.left, lines),
+                           _convert(node.right, lines))
+    elif op is ast.Pow:
+        base = _convert(node.left, lines)
+        exponent = _fold_constant(_convert(node.right, lines))
+        if exponent[0] != "num":
+            raise ExpressionError("exponent must be a numeric constant")
+        return ("pow", base, exponent[1])
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+          and node.func.id in FUNCTIONS and len(node.args) == 1
+          and not node.keywords):
+        return ("call", node.func.id, _convert(node.args[0], lines))
+    raise ExpressionError(f"unsupported expression {ast.unparse(node)!r}")
 
 
 def _evaluate(node, env):
@@ -240,7 +186,7 @@ class Expression:
         if _node is not None:
             self.node = _node
         else:
-            self.node = _Parser(_tokenize(text)).expr()
+            self.node = _parse(text)
         used = set()
         _names(self.node, used)
         unknown = used - set(self.variables)

@@ -102,13 +102,6 @@ class SpaceTimeMesh:
     def vertex_id(self, j, i):
         return j * (self.n_x + 1) + i
 
-    def cell_base_element(self, i, j):
-        return 2 * (j * self.n_x + i)
-
-    def cell_diag_rising(self, i, j):
-        """True when cell (i, j) is split along the low-to-high diagonal."""
-        return (i + j) % 2 == 0
-
     def lateral_vertex_mask(self):
         mask = np.zeros(self.n_vertices, dtype=bool)
         mask[self.column == 0] = True
@@ -124,20 +117,6 @@ class SpaceTimeMesh:
     def spatial_mesh(self):
         column_phase = self.phases[:2 * self.n_x:2]
         return SpatialMesh(nodes=self.xi_nodes.copy(), phases=column_phase)
-
-    def edge_element(self, node_index, slab, side):
-        """Element adjacent to the vertical grid edge at spatial node
-        ``node_index`` for time slab ``slab``; side is 'minus' (lower xi)
-        or 'plus'."""
-        if side == "minus":
-            i = node_index - 1
-            if self.cell_diag_rising(i, slab):
-                return self.cell_base_element(i, slab)        # holds edge p01-p11
-            return self.cell_base_element(i, slab) + 1        # holds edge p01-p11
-        i = node_index
-        if self.cell_diag_rising(i, slab):
-            return self.cell_base_element(i, slab) + 1        # holds edge p00-p10
-        return self.cell_base_element(i, slab)                # holds edge p00-p10
 
 
 @dataclass(frozen=True)

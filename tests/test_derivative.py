@@ -18,6 +18,7 @@ from stshapeopt.derivative import (academic_surface_density,
                                    fd_objective_derivative)
 from stshapeopt.errors import UnsupportedCaseError
 from stshapeopt.fem import DofMap, Field, evaluate_objective
+from stshapeopt.kernels import jet1d
 
 RNG = np.random.default_rng(41)
 
@@ -263,6 +264,53 @@ def test_surface_form_requires_constant_laws():
     p = solve_adjoint(mesh, layout, state.u, objective)
     with pytest.raises(UnsupportedCaseError):
         pde_surface_derivative(mesh, layout, state.u, p)
+
+
+def test_surface_form_reads_the_elements_beside_each_interface_edge():
+    # Oracle without the cell-numbering formula: the elements beside the
+    # vertical edge at node a in slab j are the two triangles holding both
+    # of its vertices, and the third vertex's column tells the side.
+    mesh, layout, source, objective = moving_interface_problem(16)
+    state = solve_state(mesh, layout, source)
+    p = solve_adjoint(mesh, layout, state.u, objective)
+    iface = pde_surface_derivative(mesh, layout, state.u, p)
+    u_nodal, p_nodal = state.u.nodal(), p.nodal()
+    mat_in, mat_out = layout.material(1), layout.material(2)
+    sigma_jump = mat_out.sigma - mat_in.sigma
+    inv_nu_jump = 1.0 / mat_out.nu.value - 1.0 / mat_in.nu.value
+
+    def plane_slopes(element, nodal):
+        corners = mesh.vertices[mesh.elements[element]]
+        lhs = np.column_stack([np.ones(3), corners])
+        return np.linalg.solve(lhs, nodal[mesh.elements[element]])[1:]
+
+    assert len(iface.node_ids) == 2
+    for a, value in zip(iface.node_ids, iface.values):
+        total = 0.0
+        for j in range(mesh.n_t):
+            ends = (mesh.vertex_id(j, a), mesh.vertex_id(j + 1, a))
+            holds = np.isin(mesh.elements, ends).sum(axis=1) == 2
+            beside = np.nonzero(holds)[0]
+            assert len(beside) == 2
+            third = [mesh.elements[e][~np.isin(mesh.elements[e], ends)][0]
+                     for e in beside]
+            sides = sorted(zip(mesh.column[third], beside))
+            assert [c - a for c, _ in sides] == [-1, 1]
+            for v in ends:
+                t = mesh.vertices[v, 0]
+                jet = jet1d(mesh.motion, np.array([t]),
+                            np.array([mesh.ref_xi[v]]))
+                dudt, fluxprod = [], []
+                for _, e in sides:
+                    u_t, u_x = plane_slopes(e, u_nodal)
+                    _, p_x = plane_slopes(e, p_nodal)
+                    nu = layout.material(mesh.phases[e]).nu.value
+                    dudt.append((u_t + jet.vhat[0] * u_x) * p_nodal[v])
+                    fluxprod.append(nu * u_x * nu * p_x)
+                total += 0.5 * (mesh.t_grid[j + 1] - mesh.t_grid[j]) \
+                    * abs(jet.G[0]) * (-sigma_jump * np.mean(dudt)
+                                       + inv_nu_jump * np.mean(fluxprod))
+        assert abs(value - total) <= 1e-13 * abs(total)
 
 
 def periodic_wobble_motion():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from stshapeopt import AnalyticSource, Identity
+from stshapeopt.errors import StshapeoptError
 from stshapeopt.expressions import Expression, ExpressionError
 
 VARS = ("t", "x", "xref")
@@ -62,6 +64,49 @@ def test_nonconstant_exponent_rejected():
 def test_unbalanced_parentheses_rejected():
     with pytest.raises(ExpressionError):
         Expression("sin(x", VARS)
+
+
+@pytest.mark.parametrize("text", [
+    "2 3", "2x", "0x1F", "sin(x))", "x(2)", "pi(x)",
+])
+def test_text_after_a_complete_expression_rejected(text):
+    # each of these starts with a valid expression; the rest must not be
+    # dropped silently
+    with pytest.raises(ExpressionError):
+        Expression(text, VARS)
+
+
+@pytest.mark.parametrize("text", [
+    "+x", "True", "1j", "'x'", "x if t else 1", "sin(x, t)", "sin(x=1)",
+    "x // 2", "x % 2", "x < 1", "sqrt(*x)", "x.real", "[x]", "",
+])
+def test_python_syntax_outside_the_grammar_rejected(text):
+    with pytest.raises(ExpressionError):
+        Expression(text, VARS)
+
+
+@pytest.mark.parametrize("text, node", [
+    ("-x**2", ("sub", ("num", 0.0), ("pow", ("var", "x"), 2.0))),
+    ("2^3^2", ("pow", ("num", 2.0), 9.0)),
+    ("x^-2", ("pow", ("var", "x"), -2.0)),
+    ("x*-t", ("mul", ("var", "x"), ("sub", ("num", 0.0), ("var", "t")))),
+    ("-2", ("sub", ("num", 0.0), ("num", 2.0))),
+    ("0 + x", ("var", "x")),
+    ("1*x", ("var", "x")),
+    ("x/t/2", ("div", ("div", ("var", "x"), ("var", "t")), ("num", 2.0))),
+])
+def test_tree_shape(text, node):
+    # unary minus binds looser than power, power is right-associative with
+    # a folded constant exponent, and 0 + a, 1 * a simplify to a; the
+    # symbolic derivative is built on exactly this tree
+    assert Expression(text, VARS).node == node
+
+
+def test_expression_error_is_a_package_error():
+    with pytest.raises(StshapeoptError) as info:
+        AnalyticSource("x $ 2", Identity(dim=1))
+    assert isinstance(info.value, ExpressionError)
+    assert isinstance(info.value, ValueError)
 
 
 def test_missing_environment_variable():

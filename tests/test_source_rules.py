@@ -19,6 +19,20 @@ def test_package_raises_named_errors_instead_of_asserting():
     assert found == []
 
 
+def test_package_never_calls_eval_exec_or_compile():
+    # configuration text reaches `ast.parse` only; a call to one of these
+    # builtins would run it as code.  Methods such as `law.eval` are fine.
+    builtins = {"eval", "exec", "compile"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id in builtins]
+    assert found == []
+
+
 def factorization_sites(tree):
     """(enclosing class, enclosing function) of every reference to a SuperLU
     factorization entry point."""

@@ -49,8 +49,8 @@ def _prepare_output(cfg, args):
 
 
 def _theta_nodes(cfg, spatial_mesh):
-    expr_text = cfg.gradient_check_theta or DEFAULT_CHECK_THETA
-    expr = Expression(expr_text, ("x",))
+    expr = cfg.gradient_check_theta or Expression(DEFAULT_CHECK_THETA,
+                                                  ("x",))
     theta = np.asarray(expr(x=spatial_mesh.nodes), dtype=float)
     theta = np.broadcast_to(theta, spatial_mesh.nodes.shape).copy()
     theta[0] = 0.0
@@ -114,7 +114,9 @@ def cmd_check_gradient(cfg, args):
     eps_values = sorted(eps_values, reverse=True)
 
     state = solve_state(mesh, layout, source)
-    adjoint = solve_adjoint(mesh, layout, state.u, objective)
+    adjoint = solve_adjoint(mesh, layout, state.u, objective,
+                            factored=state.system)
+    state.system = None
     spatial = mesh.spatial_mesh()
     theta = _theta_nodes(cfg, spatial)
     adjoint_value = volume_form_pairing(mesh, layout, state.u, adjoint,

@@ -40,16 +40,16 @@ class RunConfig:
     motion_name: str
     phase_sigma: dict
     phase_nu: dict
-    source_expr: str
+    source_expr: Expression     # None for the zero source "f = 0"
     n_x: int
     n_t: int
     quadrature: int
-    objective_expr: str
+    objective_expr: Expression
     descent: DescentConfig
     output_dir: str
     vtk: bool
     csv_name: str
-    gradient_check_theta: str = None
+    gradient_check_theta: Expression = None
     gradient_check_eps: list = field(default_factory=lambda: [1e-2, 1e-3, 1e-4])
 
     def motion(self):
@@ -68,11 +68,11 @@ class RunConfig:
         mesh = generate_mesh(self.n_x, self.n_t, self.interfaces, motion,
                              t_final=self.t_final)
         layout = self.layout()
-        if self.source_expr.strip() == "0":
+        if self.source_expr is None:
             source = ZeroSource()
         else:
             source = AnalyticSource(self.source_expr, motion)
-        j_expr = Expression(self.objective_expr, ("u",))
+        j_expr = self.objective_expr
         jp_expr = j_expr.derivative("u")
         objective = Objective(
             j=lambda u: np.broadcast_to(j_expr(u=u), np.shape(u)).astype(float),
@@ -160,10 +160,9 @@ def _nu_spec(value, lineno):
 
 def _expression(text, variables, lineno, key):
     try:
-        Expression(text, variables)
+        return Expression(text, variables)
     except ExpressionError as exc:
         raise ConfigError(f"{key!r}: {exc}", line=lineno) from None
-    return text
 
 
 def parse_config(text):
@@ -215,7 +214,7 @@ def parse_config(text):
             raise ConfigError(f"phase {pid} needs both sigma and nu entries")
 
     value, lineno = _get(sections, "source", "f", default="0")
-    source_expr = value if value.strip() == "0" else _expression(
+    source_expr = None if value.strip() == "0" else _expression(
         value, SOURCE_VARIABLES, lineno, "f")
 
     value, lineno = _get(sections, "discretization", "nx", required=True)

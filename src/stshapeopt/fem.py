@@ -226,10 +226,21 @@ class LinearSystem:
     orders its columns by minimum degree on A^T + A, which fills far less
     than the default COLAMD ordering (X. S. Li, ACM TOMS 31(3), 2005).
     The ordering depends only on the pattern, so it is computed once per
-    pattern; later matrices factor A[:, order] in natural order."""
+    pattern; later matrices factor A[:, order] in natural order.
 
-    def __init__(self, matrix):
-        self.matrix = matrix = sp.csc_matrix(matrix)
+    ``factored`` is an earlier LinearSystem whose factor is taken over when
+    its matrix has the same CSC indptr, indices and data; any other matrix
+    is factored afresh.  The matrix is copied, so changing the caller's
+    array afterwards changes neither the solves nor that comparison."""
+
+    def __init__(self, matrix, factored=None):
+        self.matrix = matrix = sp.csc_matrix(matrix, copy=True)
+        if factored is not None and all(
+                np.array_equal(getattr(matrix, a), getattr(factored.matrix, a))
+                for a in ("indptr", "indices", "data")):
+            self.lu = factored.lu
+            self.order, self.position = factored.order, factored.position
+            return
         pattern = (matrix.indptr, matrix.indices)
         identity = np.arange(matrix.shape[1])
         self.order, self.position, ids = _held(_COLUMN_ORDER, pattern) \
@@ -287,9 +298,15 @@ class NewtonOptions:
 
 @dataclass
 class SolveResult:
+    """State field and Newton history.  ``system`` is the last Newton
+    step's LinearSystem when every reluctivity law is constant, since only
+    then is its matrix the Jacobian at ``u``; otherwise it is None.  It
+    holds a whole LU factor, so drop it once the adjoint has used it."""
+
     u: Field
     iterations: int
     residual_norms: list = field(default_factory=list)
+    system: LinearSystem = None
 
 
 def solve_state(mesh, layout, source, newton=None, initial_guess=None):
@@ -301,7 +318,8 @@ def solve_state(mesh, layout, source, newton=None, initial_guess=None):
             load norm and the initial residual norm.
         initial_guess: optional Field used to warm-start the iteration.
 
-    Returns a SolveResult; constant reluctivity converges in one iteration.
+    Returns a SolveResult; constant reluctivity converges in one iteration
+    and hands over its factorization as ``SolveResult.system``.
     """
     newton = newton or NewtonOptions()
     geom = element_geometry(mesh, layout)
@@ -324,9 +342,13 @@ def solve_state(mesh, layout, source, newton=None, initial_guess=None):
         return SolveResult(u=u, iterations=0, residual_norms=[0.0])
 
     norms = [res_norm]
-    for it in range(newton.max_iter):
-        if res_norm <= newton.tol * scale:
-            return SolveResult(u=u, iterations=it, residual_norms=norms)
+    system = None
+    # Written so that a NaN residual never counts as converged.
+    while not res_norm <= newton.tol * scale:
+        if len(norms) > newton.max_iter:
+            raise NonconvergenceError(
+                f"Newton did not converge in {newton.max_iter} iterations "
+                f"(residual {res_norm:.3e})", residual=res_norm)
         system = LinearSystem(_jacobian_matrix(mesh, geom, dofmap, u.nodal()))
         delta = system.solve(-res)
         damping = 1.0
@@ -347,12 +369,8 @@ def solve_state(mesh, layout, source, newton=None, initial_guess=None):
             raise NonconvergenceError(
                 f"Newton line search stalled at residual {res_norm:.3e}",
                 residual=res_norm)
-    if res_norm <= newton.tol * scale:
-        return SolveResult(u=u, iterations=newton.max_iter,
-                           residual_norms=norms)
-    raise NonconvergenceError(
-        f"Newton did not converge in {newton.max_iter} iterations "
-        f"(residual {res_norm:.3e})", residual=res_norm)
+    return SolveResult(u=u, iterations=len(norms) - 1, residual_norms=norms,
+                       system=system if layout.all_constant else None)
 
 
 def objective_gradient_vector(mesh, u, objective):
@@ -364,10 +382,15 @@ def objective_gradient_vector(mesh, u, objective):
     return _scatter_vector(mesh, u.dofmap, local)
 
 
-def solve_adjoint(mesh, layout, u, objective):
+def solve_adjoint(mesh, layout, u, objective, factored=None):
     """Adjoint field from the transposed state Jacobian at u, loaded with
-    the negative objective derivative."""
-    system = LinearSystem(assemble_state_jacobian(mesh, layout, u))
+    the negative objective derivative.
+
+    ``factored`` is an earlier LinearSystem, normally the ``system`` of the
+    SolveResult that gave u; its factor is reused when its matrix equals
+    this Jacobian and ignored otherwise."""
+    system = LinearSystem(assemble_state_jacobian(mesh, layout, u),
+                          factored=factored)
     b = -objective_gradient_vector(mesh, u, objective)
     return Field(u.dofmap, system.solve_transpose(b))
 

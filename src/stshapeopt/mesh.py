@@ -12,7 +12,7 @@ so a deformation followed by its negation restores the mesh exactly.
 """
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -65,7 +65,8 @@ class SpatialMesh:
         return slopes[seg]
 
 
-# eq=False keeps identity hashing, which keys the geometry cache.
+# eq=False keeps identity hashing, which keys the geometry cache; the
+# class has no slots, so cached_property can store into the frozen instance.
 @dataclass(frozen=True, eq=False)
 class SpaceTimeMesh:
     vertices: np.ndarray       # (n_v, 2) -> (t, x)
@@ -109,10 +110,18 @@ class SpaceTimeMesh:
         return mask
 
     def signed_areas(self):
+        """Element areas, positive for the stored orientation; computed
+        once per mesh and read-only."""
+        return self._signed_areas
+
+    @cached_property
+    def _signed_areas(self):
         p = self.vertices[self.elements]
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        area.setflags(write=False)
+        return area
 
     def spatial_mesh(self):
         column_phase = self.phases[:2 * self.n_x:2]

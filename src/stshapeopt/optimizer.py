@@ -131,6 +131,8 @@ def line_search(mesh, layout, source, objective, state, j_current,
             return LineSearchResult(tau=tau, mesh=trial_mesh, state=trial,
                                     objective_value=j_trial,
                                     trials=trial_count + 1)
+        # frees the rejected trial's factor before the next one is built
+        del trial
         tau *= 0.5
     return None
 
@@ -142,9 +144,10 @@ def optimize(mesh, layout, source, objective, config, newton=None,
     Each iteration solves state and adjoint, assembles the derivative
     densities, extracts the Hilbertian direction, line-searches a step and
     deforms the mesh; the state solve warm-starts from the previous
-    iterate.  Stops on the direction-norm tolerance, a failed line search,
-    or the iteration cap; the accepted objective sequence is strictly
-    decreasing by construction.
+    iterate, and the adjoint reuses the accepted state's factorization
+    when it has one.  Stops on the direction-norm tolerance, a failed line
+    search, or the iteration cap; the accepted objective sequence is
+    strictly decreasing by construction.
     """
     state = solve_state(mesh, layout, source, newton=newton)
     j_value = evaluate_objective(mesh, state.u, objective)
@@ -153,7 +156,10 @@ def optimize(mesh, layout, source, objective, config, newton=None,
     tau_prev = config.tau_init
 
     for n in range(config.max_outer):
-        adjoint = solve_adjoint(mesh, layout, state.u, objective)
+        adjoint = solve_adjoint(mesh, layout, state.u, objective,
+                                factored=state.system)
+        # no factor outlives the adjoint into the densities or line search
+        state.system = None
         densities = pde_volume_densities(mesh, layout, state.u, adjoint,
                                          source, objective)
         direction, norm = hilbertian_direction(mesh.spatial_mesh(),
@@ -189,6 +195,7 @@ def optimize(mesh, layout, source, objective, config, newton=None,
     else:
         records.append(IterationRecord(config.max_outer, j_value, 0.0, 0.0,
                                        state.iterations))
+        state.system = None
 
     return OptimizationReport(
         records=records, termination=termination, mesh=mesh, state=state,

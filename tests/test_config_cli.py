@@ -1,10 +1,13 @@
 import csv
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from stshapeopt import cli, expressions
 from stshapeopt.cli import main, observed_order
-from stshapeopt.config import parse_config
+from stshapeopt.config import load_config, parse_config
 from stshapeopt.errors import ConfigError
 
 BENCHMARK_CFG = """
@@ -191,6 +194,25 @@ def test_cmd_check_gradient_passes_on_benchmark(tmp_path, capsys):
     assert "observed order" in out
 
 
+def test_cmd_check_gradient_prints_the_same_with_the_handed_factor(
+        tmp_path, monkeypatch, capsys):
+    cfg = write_cfg(tmp_path, nx=16, nt=16)
+    real_adjoint = cli.solve_adjoint
+    outputs = []
+    for keep in (True, False):
+        handed = []
+
+        def adjoint(*args, factored=None):
+            handed.append(factored)
+            return real_adjoint(*args, factored=factored if keep else None)
+
+        monkeypatch.setattr(cli, "solve_adjoint", adjoint)
+        main(["check-gradient", "--config", str(cfg)])
+        assert handed[0] is not None
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_cmd_check_gradient_zero_theta_trivially_passes(tmp_path, capsys):
     cfg = write_cfg(tmp_path, nx=16, nt=16,
                     extra=None)
@@ -206,8 +228,17 @@ def test_observed_order_helper():
     assert observed_order([1e-2, 1e-3], [0.0, 0.0]) == np.inf
 
 
+def test_each_config_expression_is_parsed_once():
+    path = Path(__file__).resolve().parents[1] / "configs" \
+        / "moving_interface_coarse.cfg"
+    with mock.patch.object(expressions, "_parse",
+                           wraps=expressions._parse) as parse:
+        load_config(path).build()
+    # f, j and the gradient-check theta
+    assert parse.call_count == 3
+
+
 def test_shipped_configs_parse_and_build():
-    from pathlib import Path
     for name in ("moving_interface.cfg", "moving_interface_coarse.cfg"):
         path = Path(__file__).resolve().parents[1] / "configs" / name
         cfg = parse_config(path.read_text())

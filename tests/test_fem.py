@@ -1,4 +1,5 @@
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from stshapeopt import (CallableSource, ConstantReluctivity, Identity,
                         assemble_state_residual, deform_mesh,
                         evaluate_objective, generate_mesh, solve_adjoint,
                         solve_state, solve_tangent)
+from stshapeopt import fem
 from stshapeopt.errors import AssemblyError, NonconvergenceError, SolverError
 from stshapeopt.fem import (NQ, DofMap, Field, LinearSystem, NewtonOptions,
                             _residual_local, element_geometry,
@@ -205,6 +207,51 @@ def test_cached_column_order_keeps_no_factor_alive():
         # held by system and by getrefcount's argument, nothing else
         count = sys.getrefcount(system.lu)
         assert count == 2
+
+
+def counted_splu():
+    return mock.patch.object(fem.spla, "splu", wraps=spla.splu)
+
+
+def test_linear_system_takes_over_the_factor_of_an_equal_matrix():
+    mesh, layout, _, _ = moving_interface_problem(12)
+    matrix = assemble_state_jacobian(mesh, layout,
+                                     Field.zeros(DofMap.from_mesh(mesh)))
+    first = LinearSystem(matrix)
+    thinned = matrix.copy()
+    thinned.data[0] = 0.0
+    thinned.eliminate_zeros()
+    with counted_splu() as splu:
+        second = LinearSystem(matrix.copy(), factored=first)
+        assert splu.call_count == 0 and second.lu is first.lu
+        for other in (2.0 * matrix, thinned):
+            system = LinearSystem(other, factored=first)
+            assert system.lu is not first.lu
+        matrix.data[0] += 1.0
+        changed = LinearSystem(matrix, factored=first)
+        assert splu.call_count == 3 and changed.lu is not first.lu
+    b = RNG.standard_normal(matrix.shape[0])
+    assert np.linalg.norm(b - matrix @ changed.solve(b)) \
+        <= 1e-12 * np.linalg.norm(b)
+
+
+def test_linear_adjoint_through_the_hand_off_equals_a_fresh_one():
+    mesh, layout, source, objective = moving_interface_problem(12)
+    state = solve_state(mesh, layout, source)
+    assert state.system is not None
+    with counted_splu() as splu:
+        handed = solve_adjoint(mesh, layout, state.u, objective,
+                               factored=state.system)
+        assert splu.call_count == 0
+        fresh = solve_adjoint(mesh, layout, state.u, objective)
+        assert splu.call_count == 1
+    assert np.array_equal(handed.values, fresh.values)
+
+
+def test_nonlinear_state_hands_over_no_factor():
+    mesh, layout, source, _ = nonlinear_problem(8)
+    result = solve_state(mesh, layout, source)
+    assert result.iterations > 1 and result.system is None
 
 
 def test_factorization_uses_fill_reducing_ordering():

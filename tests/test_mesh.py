@@ -283,6 +283,15 @@ def test_deformed_mesh_gets_fresh_geometry(monkeypatch):
     assert not base.area.flags.writeable
 
 
+def test_areas_are_computed_once_per_mesh():
+    mesh = generate_mesh(12, 6, (0.4, 0.6), Polynomial1D())
+    moved = deform_mesh(mesh, np.sin(np.pi * mesh.xi_nodes), 0.05)
+    for m in (mesh, moved):
+        assert m.signed_areas() is mesh_geometry(m).area
+        assert not m.signed_areas().flags.writeable
+    assert not np.array_equal(moved.signed_areas(), mesh.signed_areas())
+
+
 @pytest.mark.parametrize("motion", [Polynomial1D(), Identity(dim=1)],
                          ids=["polynomial", "identity"])
 def test_quadrature_points_equal_the_einsum_reference(motion):

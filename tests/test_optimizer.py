@@ -1,10 +1,15 @@
 import csv
+import weakref
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import stshapeopt.optimizer as opt_mod
-from helpers import moving_interface_problem
+from helpers import moving_interface_problem, nonlinear_problem
+from stshapeopt import fem
 from stshapeopt import (DescentConfig, hilbertian_direction, line_search,
                         optimize, pde_volume_densities, solve_adjoint,
                         solve_state)
@@ -230,3 +235,45 @@ def test_history_csv_schema(tmp_path):
             assert "e" in cell     # %.12e formatting
             float(cell)
         int(row[4])
+
+
+@contextmanager
+def live_factors():
+    """Yields (live, seen): the factor-holding LinearSystems alive now, and
+    how many were alive at each splu call."""
+    live, seen = weakref.WeakSet(), []
+    init, factor = fem.LinearSystem.__init__, spla.splu
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        live.add(self)
+
+    def splu(*args, **kwargs):
+        seen.append(len(live))
+        return factor(*args, **kwargs)
+
+    with mock.patch.object(fem.LinearSystem, "__init__", tracked), \
+            mock.patch.object(fem.spla, "splu", splu):
+        yield live, seen
+
+
+def test_no_factor_outlives_its_use():
+    # Each factor is a whole LU, the largest array of a descent, so one
+    # kept past its use shows in the peak memory.
+    mesh, layout, source, objective = moving_interface_problem(16)
+    with live_factors() as (live, seen):
+        report = optimize(mesh, layout, source, objective,
+                          DescentConfig(tau_init=2000.0, max_outer=4))
+    # more state solves than the first and the accepted ones: the descent
+    # rejects solved trials, so a kept trial would show here
+    accepted = sum(r.tau > 0.0 for r in report.records)
+    assert len(seen) > 1 + accepted
+    assert max(seen) == 0
+    assert report.state.system is None
+
+    mesh, layout, source, _ = nonlinear_problem(16)
+    with live_factors() as (live, seen):
+        result = solve_state(mesh, layout, source)
+        assert len(live) == 0
+    # at most the previous Newton step's, while the next one is built
+    assert result.iterations > 1 and max(seen) <= 1

@@ -209,6 +209,17 @@ class Polynomial1D(Motion):
         x = np.asarray(x, dtype=float)
         return (2.0 * x)[..., None]
 
+    def inverse(self, t, y):
+        """Closed-form root of t x^2 + x = y, written without the
+        cancellation of (sqrt(1 + 4ty) - 1) / 2t, so t = 0 needs no case."""
+        y = np.asarray(y, dtype=float)
+        tb = np.asarray(t, dtype=float)[..., None] if np.ndim(t) else t
+        with np.errstate(invalid="ignore"):
+            xi = 2.0 * y / (1.0 + np.sqrt(1.0 + 4.0 * tb * y))
+        if not np.all(np.isfinite(xi)):
+            raise GeometryError("point lies outside the image of the map")
+        return xi
+
 
 class CustomMotion(Motion):
     """User-supplied motion built from closures matching the base contract.

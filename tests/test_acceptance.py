@@ -161,13 +161,24 @@ def test_criterion_2_gradient_correctness():
         theta = theta_bump(sm)
         value = volume_form_pairing(mesh, layout, state.u, adjoint, source,
                                     objective, sm, theta)
+        # Without motion the discrete derivative has no O(h) defect, so a
+        # central difference converges at second order there.  A one-sided
+        # order tends to exactly 1, where roundoff would decide the clause.
+        # The moving cases' central differences level off at about 1e-3,
+        # so they keep the one-sided first-order clause.
+        central = name == "static-control"
         errors = []
         for eps in (1e-2, 1e-3, 1e-4, 1e-5):
             fd = fd_objective_derivative(mesh, layout, source, objective,
                                          theta, eps, base_solution=state)
+            if central:
+                fd = (fd + fd_objective_derivative(
+                    mesh, layout, source, objective, theta, -eps,
+                    base_solution=state)) / 2.0
             errors.append(abs(fd - value) / abs(value))
         orders = [np.log10(errors[k] / errors[k + 1]) for k in range(3)]
-        good = max(orders) >= 1.0 and min(errors) <= 1e-3
+        good = max(orders) >= (1.9 if central else 1.0) \
+            and min(errors) <= 1e-3
         ok = ok and good
         summaries.append(f"{name}: order {max(orders):.2f}, "
                          f"best rel {min(errors):.1e}")

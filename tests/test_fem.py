@@ -18,7 +18,8 @@ from stshapeopt import (CallableSource, ConstantReluctivity, Identity,
                         solve_state, solve_tangent)
 from stshapeopt import fem
 from stshapeopt.errors import AssemblyError, NonconvergenceError, SolverError
-from stshapeopt.fem import (NQ, DofMap, Field, LinearSystem, NewtonOptions,
+from stshapeopt.fem import (LU_PANEL_SIZE, LU_RELAX, NQ, DofMap, Field,
+                            LinearSystem, NewtonOptions,
                             _residual_local, element_geometry,
                             objective_gradient_vector, tangent_rhs,
                             volume_form_pairing)
@@ -292,13 +293,30 @@ def test_reused_column_order_factors_like_a_fresh_ordering(problem):
     LinearSystem(assemble_state_jacobian(mesh, layout, u))
     matrix = assemble_state_jacobian(deformed, layout, u)
     system = LinearSystem(matrix)
-    fresh = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A")
+    fresh = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", relax=LU_RELAX,
+                      panel_size=LU_PANEL_SIZE)
     assert system.lu.L.nnz + system.lu.U.nnz == fresh.L.nnz + fresh.U.nnz
     b = RNG.standard_normal(u.dofmap.n_free)
     assert np.array_equal(system.solve(b), refined(fresh.solve, matrix, b))
     assert np.array_equal(
         system.solve_transpose(b),
         refined(lambda r: fresh.solve(r, trans="T"), matrix.T, b))
+
+
+def test_every_factorization_passes_the_supernode_settings(monkeypatch):
+    mesh, layout, _, _ = moving_interface_problem(12)
+    u = Field.zeros(DofMap.from_mesh(mesh))
+    deformed = deform_mesh(mesh, theta_bump(mesh.spatial_mesh()), 0.03)
+    monkeypatch.setattr(fem, "_COLUMN_ORDER", [None])
+    with counted_splu() as splu:
+        for m in (mesh, deformed):
+            LinearSystem(assemble_state_jacobian(m, layout, u))
+    calls = [call.kwargs for call in splu.call_args_list]
+    assert [kw["permc_spec"] for kw in calls] == ["MMD_AT_PLUS_A", "NATURAL"]
+    for kw in calls:
+        assert kw["relax"] == LU_RELAX and kw["panel_size"] == LU_PANEL_SIZE
+    # relaxed supernodes wider than a panel crashed SuperLU (relax=64)
+    assert 1 <= LU_RELAX <= LU_PANEL_SIZE
 
 
 def test_benchmark_objective_value_and_trend():

@@ -3,6 +3,7 @@ import pytest
 
 from stshapeopt import CustomMotion, Identity, Polynomial1D, Rotation2D
 from stshapeopt.errors import GeometryError
+from stshapeopt.motion import Motion
 
 RNG = np.random.default_rng(7)
 
@@ -59,6 +60,18 @@ def test_polynomial_forward_and_newton_inverse():
     xi = motion.inverse(t, y)
     closed = (-1.0 + np.sqrt(1.0 + 4.0 * 0.7 * y)) / (2.0 * 0.7)
     assert np.max(np.abs(xi - closed)) < 1e-12
+
+
+def test_polynomial_closed_form_inverse_matches_newton():
+    motion = Polynomial1D()
+    t, x = np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 1.0, 41))
+    t, y = t.ravel(), motion.forward(t.ravel(), x.ravel()[:, None])
+    closed = motion.inverse(t, y)
+    assert closed.shape == y.shape
+    assert np.max(np.abs(closed - Motion.inverse(motion, t, y))) <= 1e-15
+    for s in (0.0, 0.35, 1.0):
+        assert np.max(np.abs(motion.inverse(s, y)
+                             - Motion.inverse(motion, s, y))) <= 1e-15
 
 
 def test_polynomial_inverse_outside_image_raises():

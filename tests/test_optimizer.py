@@ -277,3 +277,10 @@ def test_no_factor_outlives_its_use():
         assert len(live) == 0
     # at most the previous Newton step's, while the next one is built
     assert result.iterations > 1 and max(seen) <= 1
+
+
+def test_newton_drops_each_factor_before_building_the_next():
+    mesh, layout, source, _ = nonlinear_problem(16)
+    with live_factors() as (live, seen):
+        result = solve_state(mesh, layout, source)
+    assert result.iterations > 1 and max(seen) == 0

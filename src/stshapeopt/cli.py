@@ -13,13 +13,10 @@ import numpy as np
 from .config import load_config
 from .derivative import fd_objective_derivative
 from .errors import ConfigError, StshapeoptError
-from .expressions import Expression
 from .fem import (evaluate_objective, solve_adjoint, solve_state,
                   volume_form_pairing)
 from .optimizer import optimize, write_history_csv
 from .vtkio import write_vtk
-
-DEFAULT_CHECK_THETA = "sin(pi*x)"
 
 
 def _build_parser():
@@ -49,9 +46,8 @@ def _prepare_output(cfg, args):
 
 
 def _theta_nodes(cfg, spatial_mesh):
-    expr = cfg.gradient_check_theta or Expression(DEFAULT_CHECK_THETA,
-                                                  ("x",))
-    theta = np.asarray(expr(x=spatial_mesh.nodes), dtype=float)
+    theta = np.asarray(cfg.gradient_check_theta(x=spatial_mesh.nodes),
+                       dtype=float)
     theta = np.broadcast_to(theta, spatial_mesh.nodes.shape).copy()
     theta[0] = 0.0
     theta[-1] = 0.0

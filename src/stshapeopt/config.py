@@ -12,15 +12,16 @@ grammar of `expressions`, or material specs ``constant <v>`` and
 ``curve <nu_a> <c1> <c2> <c3>``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError
-from .expressions import Expression, ExpressionError
+from .errors import ConfigError, StshapeoptError
+from .expressions import Expression
 from .materials import (ConstantReluctivity, PhaseLayout, PhaseMaterial,
                         ReluctivityCurve)
-from .mesh import generate_mesh
+from .mesh import check_mesh_args, generate_mesh
 from .motion import Identity, Polynomial1D
 from .sources import SOURCE_VARIABLES, AnalyticSource, ZeroSource
 from .fem import Objective
@@ -34,7 +35,6 @@ MOTIONS = {"identity": Identity, "polynomial1d": Polynomial1D}
 
 @dataclass
 class RunConfig:
-    domain: tuple
     t_final: float
     interfaces: list
     motion_name: str
@@ -43,24 +43,22 @@ class RunConfig:
     source_expr: Expression     # None for the zero source "f = 0"
     n_x: int
     n_t: int
-    quadrature: int
     objective_expr: Expression
     descent: DescentConfig
     output_dir: str
     vtk: bool
     csv_name: str
-    gradient_check_theta: Expression = None
-    gradient_check_eps: list = field(default_factory=lambda: [1e-2, 1e-3, 1e-4])
+    gradient_check_theta: Expression
+    gradient_check_eps: list
 
     def motion(self):
         return MOTIONS[self.motion_name]()
 
     def layout(self):
-        materials = {}
-        for pid in sorted(self.phase_sigma):
-            materials[pid] = PhaseMaterial(sigma=self.phase_sigma[pid],
-                                           nu=self.phase_nu[pid])
-        return PhaseLayout(materials=materials)
+        return PhaseLayout(materials={
+            pid: PhaseMaterial(sigma=self.phase_sigma[pid],
+                               nu=self.phase_nu[pid])
+            for pid in sorted(self.phase_sigma)})
 
     def build(self):
         """Instantiate (mesh, layout, source, objective) for this run."""
@@ -109,166 +107,127 @@ def _parse_lines(text):
     return sections
 
 
-def _get(sections, section, key, default=None, required=False):
-    entry = sections.get(section, {}).get(key)
-    if entry is None:
-        if required:
-            raise ConfigError(f"missing key {key!r} in section [{section}]")
-        return default, None
-    return entry
-
-
-def _float(value, lineno, key):
+def _entry(sections, section, key, convert, default=None):
+    """convert(text) of a key's value, or of `default` when the key is
+    missing; a missing key without a default is an error.  A ValueError or
+    package error from `convert` becomes a ConfigError at the key's line."""
+    text, line = sections.get(section, {}).get(key, (default, None))
+    if text is None:
+        raise ConfigError(f"missing key {key!r} in section [{section}]")
     try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key!r} expects a number, got {value!r}",
-                          line=lineno) from None
+        return convert(text)
+    except (ValueError, StshapeoptError) as exc:
+        raise ConfigError(f"{key!r} = {text!r}: {exc}", line=line) from None
 
 
-def _int(value, lineno, key):
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key!r} expects an integer, got {value!r}",
-                          line=lineno) from None
+def _checked(convert, valid, message):
+    """Converter that rejects a converted value failing `valid`."""
+    def read(text):
+        value = convert(text)
+        if not valid(value):
+            raise ConfigError(message)
+        return value
+    return read
 
 
-def _bool(value, lineno, key):
-    lowered = value.lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"{key!r} expects true/false, got {value!r}",
-                      line=lineno)
+def _mesh_arg(name, convert):
+    """Converter whose value `generate_mesh` must accept as argument `name`."""
+    def read(text):
+        value = convert(text)
+        check_mesh_args(**{name: value})
+        return value
+    return read
 
 
-def _nu_spec(value, lineno):
-    words = value.split()
-    try:
-        if words[0] == "constant" and len(words) == 2:
-            return ConstantReluctivity(float(words[1]))
-        if words[0] == "curve" and len(words) == 5:
-            return ReluctivityCurve(*[float(w) for w in words[1:]])
-    except (ValueError, IndexError):
-        pass
-    raise ConfigError(
-        f"reluctivity spec must be 'constant <v>' or "
-        f"'curve <nu_a> <c1> <c2> <c3>', got {value!r}", line=lineno)
+def _floats(text):
+    return [float(w) for w in text.split()]
 
 
-def _expression(text, variables, lineno, key):
-    try:
-        return Expression(text, variables)
-    except ExpressionError as exc:
-        raise ConfigError(f"{key!r}: {exc}", line=lineno) from None
+def _bool(text):
+    word = text.lower()
+    if word not in ("true", "yes", "on", "1", "false", "no", "off", "0"):
+        raise ConfigError("expects true/false")
+    return word in ("true", "yes", "on", "1")
+
+
+def _reluctivity(text):
+    kind, *numbers = text.split() or [""]
+    if kind == "constant" and len(numbers) == 1:
+        return ConstantReluctivity(float(numbers[0]))
+    if kind == "curve" and len(numbers) == 4:
+        return ReluctivityCurve(*map(float, numbers))
+    raise ConfigError("reluctivity spec must be 'constant <v>' or "
+                      "'curve <nu_a> <c1> <c2> <c3>'")
+
+
+_MATERIAL_KEYS = {"sigma": _checked(float, lambda s: s >= 0,
+                                    "conductivity must be >= 0"),
+                  "nu": _reluctivity}
+
+_DESCENT_KEYS = {"alpha": float, "beta": float, "tau_init": float,
+                 "tau_min": float, "theta_tol": float, "max_outer": int,
+                 "max_halvings": int, "cauchy_riemann": _bool}
 
 
 def parse_config(text):
     """Parse and validate a run configuration."""
     sections = _parse_lines(text)
+    entry = partial(_entry, sections)
 
-    value, lineno = _get(sections, "problem", "domain", default="0 1")
-    words = value.split()
-    if len(words) != 2 or [float(w) for w in words] != [0.0, 1.0]:
-        raise ConfigError("only the unit design domain '0 1' is supported",
-                          line=lineno)
-    value, lineno = _get(sections, "problem", "t_final", default="1.0")
-    t_final = _float(value, lineno, "t_final")
-    if t_final <= 0:
-        raise ConfigError("t_final must be positive", line=lineno)
+    entry("problem", "domain", _checked(
+        _floats, lambda d: d == [0.0, 1.0],
+        "only the unit design domain '0 1' is supported"), default="0 1")
+    t_final = entry("problem", "t_final", _mesh_arg("t_final", float),
+                    default="1.0")
+    interfaces = entry("problem", "interfaces",
+                       _mesh_arg("interfaces", _floats))
+    motion_name = entry("problem", "motion", _checked(
+        str.lower, lambda m: m in MOTIONS,
+        f"motion must be one of {sorted(MOTIONS)} (rotations are a "
+        f"two-dimensional setting)"), default="identity")
 
-    value, lineno = _get(sections, "problem", "interfaces", required=True)
-    try:
-        interfaces = [float(w) for w in value.split()]
-    except ValueError:
-        raise ConfigError(f"interfaces expects numbers, got {value!r}",
-                          line=lineno) from None
-
-    value, lineno = _get(sections, "problem", "motion", default="identity")
-    motion_name = value.lower()
-    if motion_name not in MOTIONS:
-        raise ConfigError(
-            f"motion must be one of {sorted(MOTIONS)}, got {value!r} "
-            f"(rotations are a two-dimensional setting)", line=lineno)
-
-    phase_sigma, phase_nu = {}, {}
-    for key, (value, lineno) in sections.get("materials", {}).items():
+    phase_laws = {"sigma": {}, "nu": {}}
+    for key, (_, line) in sections.get("materials", {}).items():
         words = key.split()
-        if len(words) != 3 or words[0] != "phase" or not words[1].isdigit():
-            raise ConfigError(f"unknown materials key {key!r}", line=lineno)
-        pid = int(words[1])
-        if words[2] == "sigma":
-            sigma = _float(value, lineno, key)
-            if sigma < 0:
-                raise ConfigError("conductivity must be >= 0", line=lineno)
-            phase_sigma[pid] = sigma
-        elif words[2] == "nu":
-            phase_nu[pid] = _nu_spec(value, lineno)
-        else:
-            raise ConfigError(f"unknown materials key {key!r}", line=lineno)
-    needed = {2} | ({1, 2} if interfaces else set())
-    for pid in sorted(needed):
-        if pid not in phase_sigma or pid not in phase_nu:
+        if len(words) != 3 or words[0] != "phase" \
+                or not words[1].isdigit() or words[2] not in _MATERIAL_KEYS:
+            raise ConfigError(f"unknown materials key {key!r}", line=line)
+        phase_laws[words[2]][int(words[1])] = entry(
+            "materials", key, _MATERIAL_KEYS[words[2]])
+    for pid in [1, 2] if interfaces else [2]:
+        if not all(pid in laws for laws in phase_laws.values()):
             raise ConfigError(f"phase {pid} needs both sigma and nu entries")
 
-    value, lineno = _get(sections, "source", "f", default="0")
-    source_expr = None if value.strip() == "0" else _expression(
-        value, SOURCE_VARIABLES, lineno, "f")
-
-    value, lineno = _get(sections, "discretization", "nx", required=True)
-    n_x = _int(value, lineno, "nx")
-    value, lineno = _get(sections, "discretization", "nt", required=True)
-    n_t = _int(value, lineno, "nt")
-    if n_x < 2 or n_t < 2:
-        raise ConfigError("nx and nt must both be at least 2", line=lineno)
-    value, lineno = _get(sections, "discretization", "quadrature", default="2")
-    quadrature = _int(value, lineno, "quadrature")
-    if quadrature != 2:
-        raise ConfigError("only the second-order triangle rule "
-                          "(quadrature = 2) is implemented", line=lineno)
-
-    value, lineno = _get(sections, "objective", "j", default="u")
-    objective_expr = _expression(value, ("u",), lineno, "j")
+    source_expr = entry("source", "f", lambda t: None if t == "0"
+                        else Expression(t, SOURCE_VARIABLES), default="0")
+    n_x = entry("discretization", "nx", _mesh_arg("n_x", int))
+    n_t = entry("discretization", "nt", _mesh_arg("n_t", int))
+    entry("discretization", "quadrature", _checked(
+        int, lambda q: q == 2, "only the second-order triangle rule "
+        "(quadrature = 2) is implemented"), default="2")
+    objective_expr = entry("objective", "j", lambda t: Expression(t, ("u",)),
+                           default="u")
 
     descent_kwargs = {}
-    spec = {"alpha": _float, "beta": _float, "tau_init": _float,
-            "tau_min": _float, "theta_tol": _float, "max_outer": _int,
-            "max_halvings": _int, "cauchy_riemann": _bool}
-    for key, (value, lineno) in sections.get("descent", {}).items():
-        if key not in spec:
-            raise ConfigError(f"unknown descent key {key!r}", line=lineno)
+    for key, (_, line) in sections.get("descent", {}).items():
+        if key not in _DESCENT_KEYS:
+            raise ConfigError(f"unknown descent key {key!r}", line=line)
         name = "include_cauchy_riemann" if key == "cauchy_riemann" else key
-        descent_kwargs[name] = spec[key](value, lineno, key)
-    descent = DescentConfig(**descent_kwargs)
+        descent_kwargs[name] = entry("descent", key, _DESCENT_KEYS[key])
 
-    output_dir, _ = _get(sections, "output", "directory", default="out")
-    value, lineno = _get(sections, "output", "vtk", default="false")
-    vtk = _bool(value, lineno, "vtk")
-    csv_name, _ = _get(sections, "output", "csv", default="history.csv")
-
-    theta_expr = None
-    value, lineno = _get(sections, "gradient_check", "theta")
-    if value is not None:
-        theta_expr = _expression(value, ("x",), lineno, "theta")
-    eps = [1e-2, 1e-3, 1e-4]
-    value, lineno = _get(sections, "gradient_check", "eps")
-    if value is not None:
-        try:
-            eps = [float(w) for w in value.split()]
-        except ValueError:
-            raise ConfigError(f"eps expects numbers, got {value!r}",
-                              line=lineno) from None
-
-    return RunConfig(domain=(0.0, 1.0), t_final=t_final,
-                     interfaces=interfaces, motion_name=motion_name,
-                     phase_sigma=phase_sigma, phase_nu=phase_nu,
-                     source_expr=source_expr, n_x=n_x, n_t=n_t,
-                     quadrature=quadrature, objective_expr=objective_expr,
-                     descent=descent, output_dir=output_dir, vtk=vtk,
-                     csv_name=csv_name, gradient_check_theta=theta_expr,
-                     gradient_check_eps=eps)
+    return RunConfig(
+        t_final=t_final, interfaces=interfaces, motion_name=motion_name,
+        phase_sigma=phase_laws["sigma"], phase_nu=phase_laws["nu"],
+        source_expr=source_expr, n_x=n_x, n_t=n_t,
+        objective_expr=objective_expr, descent=DescentConfig(**descent_kwargs),
+        output_dir=entry("output", "directory", str, default="out"),
+        vtk=entry("output", "vtk", _bool, default="false"),
+        csv_name=entry("output", "csv", str, default="history.csv"),
+        gradient_check_theta=entry("gradient_check", "theta",
+                                   lambda t: Expression(t, ("x",)),
+                                   default="sin(pi*x)"),
+        gradient_check_eps=entry("gradient_check", "eps", _floats,
+                                 default="1e-2 1e-3 1e-4"))
 
 
 def load_config(path):

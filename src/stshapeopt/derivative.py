@@ -163,7 +163,7 @@ def magnetization_supplement(mesh, magnetization, magnetization_grad, p,
                              element_mask):
     """Density increment from a smooth transported field supported on the
     masked spatial elements; the field and its spatial derivative are
-    callables of (t, x)."""
+    callables of (t, x).  In one dimension only the derivative enters."""
     sm = mesh.spatial_mesh()
     _, _, p_x, _, _ = _element_planes(mesh, p.nodal())
 
@@ -174,18 +174,11 @@ def magnetization_supplement(mesh, magnetization, magnetization_grad, p,
     if len(active) > 0:
         t_eval, e_eval, _, x_eval, jets, dt = \
             _trajectory_samples(mesh, sm.centroids[active])
-        hog = jets.h_over_g
-
-        big_l = magnetization(t_eval, x_eval)
-        grad_l = magnetization_grad(t_eval, x_eval)
-        px = p_x[e_eval]
-
-        # -(m' L + L_1 - Fxx' L) . grad p expanded in (theta, theta')
-        s0 = -big_l * px * hog - grad_l * jets.G * px + big_l * px * hog
-        s1 = -big_l * px + big_l * px
-
+        # -(m' L + L_1 - Fxx' L) . grad p with L_1 = (grad L) G theta; in 1d
+        # m' = Fxx' = (H/G) theta + theta', so m' L and Fxx' L cancel and
+        # theta' has no coefficient: g1 stays zero.
+        s0 = -magnetization_grad(t_eval, x_eval) * jets.G * p_x[e_eval]
         g0[active] = _trajectory_integral(jets, dt, s0)
-        g1[active] = _trajectory_integral(jets, dt, s1)
     return DerivativeDensities(
         g0=g0, g1=g1, spatial_mesh=sm,
         metadata={"functional": "magnetization_supplement"})
@@ -291,14 +284,14 @@ def academic_surface_derivative_polyline(motion, f_value, theta_fn, vertices,
 
 
 def fd_objective_derivative(mesh, layout, source, objective, theta, eps,
-                            newton=None, base_solution=None):
+                            base_solution=None):
     """One-sided finite difference of the objective under the design
     deformation eps * theta, re-solving the state on the deformed mesh."""
     if base_solution is None:
-        base_solution = solve_state(mesh, layout, source, newton=newton)
+        base_solution = solve_state(mesh, layout, source)
     j_base = evaluate_objective(mesh, base_solution.u, objective)
     trial_mesh = deform_mesh(mesh, theta, eps)
-    trial = solve_state(trial_mesh, layout, source, newton=newton,
+    trial = solve_state(trial_mesh, layout, source,
                         initial_guess=base_solution.u)
     j_trial = evaluate_objective(trial_mesh, trial.u, objective)
     return (j_trial - j_base) / eps

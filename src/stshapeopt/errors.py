@@ -37,6 +37,10 @@ class ExpressionError(StshapeoptError, ValueError):
     """Analytic expression text outside the grammar of `expressions`."""
 
 
+class MaterialError(StshapeoptError, ValueError):
+    """Material parameters or reluctivity arguments outside a law's domain."""
+
+
 class ConfigError(StshapeoptError):
     """Run-configuration parsing or validation failure."""
 

@@ -305,7 +305,6 @@ class LinearSystem:
 class NewtonOptions:
     tol: float = 1e-10
     max_iter: int = 30
-    max_halvings: int = 30
     min_damping: float = 1e-6
 
 
@@ -366,7 +365,7 @@ def solve_state(mesh, layout, source, newton=None, initial_guess=None):
         system = LinearSystem(_jacobian_matrix(mesh, geom, dofmap, u.nodal()))
         delta = system.solve(-res)
         damping = 1.0
-        for _ in range(newton.max_halvings):
+        while True:
             if damping < newton.min_damping:
                 raise NonconvergenceError(
                     f"Newton damping underflow at residual {res_norm:.3e}",
@@ -379,10 +378,6 @@ def solve_state(mesh, layout, source, newton=None, initial_guess=None):
                 norms.append(res_norm)
                 break
             damping *= 0.5
-        else:
-            raise NonconvergenceError(
-                f"Newton line search stalled at residual {res_norm:.3e}",
-                residual=res_norm)
     return SolveResult(u=u, iterations=len(norms) - 1, residual_norms=norms,
                        system=system if layout.all_constant else None)
 

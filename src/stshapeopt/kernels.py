@@ -6,9 +6,9 @@ coefficients
 
     value = a . theta + B : grad theta,       B[k, l] pairs d theta_k / d xi_l.
 
-Matrix- and vector-valued kernels carry one such pair per component.  The
-forms are exact; finite differences of the underlying transported maps belong
-in tests only.
+Vector- and matrix-valued kernels carry one such pair per component, as
+leading axes of a and B.  The forms are exact; finite differences of the
+underlying transported maps belong in tests only.
 
 ``jet1d`` provides the same coefficients as vectorized closed forms for the
 one-dimensional assembly paths.
@@ -21,36 +21,15 @@ import numpy as np
 
 @dataclass(frozen=True)
 class PullbackLinearForm:
-    """Scalar linear form a . theta + B : grad theta."""
+    """Linear form a . theta + B : grad theta; the leading axes of a[..., k]
+    and B[..., k, l] index the components of a vector or matrix kernel."""
 
     a: np.ndarray
     B: np.ndarray
 
     def value(self, theta, grad_theta):
-        return float(np.dot(self.a, theta) + np.sum(self.B * grad_theta))
-
-
-@dataclass(frozen=True)
-class VectorPullbackForm:
-    """Vector of linear forms; a[i, k] and B[i, k, l] index component i."""
-
-    a: np.ndarray
-    B: np.ndarray
-
-    def value(self, theta, grad_theta):
-        return self.a @ theta + np.einsum("ikl,kl->i", self.B, grad_theta)
-
-
-@dataclass(frozen=True)
-class MatrixPullbackForm:
-    """Matrix of linear forms; a[i, j, k] and B[i, j, k, l] index entry ij."""
-
-    a: np.ndarray
-    B: np.ndarray
-
-    def value(self, theta, grad_theta):
-        return (np.einsum("ijk,k->ij", self.a, theta)
-                + np.einsum("ijkl,kl->ij", self.B, grad_theta))
+        return (np.tensordot(self.a, theta, 1)
+                + np.tensordot(self.B, grad_theta, 2))
 
 
 def _jet(motion, t, x):
@@ -79,7 +58,7 @@ def Fxx_prime(motion, t, x):
     _, g, ginv, h, _, _, _ = _jet(motion, t, x)
     a = np.einsum("imk,mj->ijk", h, ginv)
     B = np.einsum("ik,lj->ijkl", g, ginv)
-    return MatrixPullbackForm(a=a, B=B)
+    return PullbackLinearForm(a=a, B=B)
 
 
 def Fxt_prime(motion, t, x):
@@ -87,14 +66,14 @@ def Fxt_prime(motion, t, x):
     _, g, _, h, _, w, q = _jet(motion, t, x)
     a = w + np.einsum("ijk,j->ik", h, q)
     B = np.einsum("ik,l->ikl", g, q)
-    return VectorPullbackForm(a=a, B=B)
+    return PullbackLinearForm(a=a, B=B)
 
 
 def b_prime(motion, t, x):
     """Derivative of the convective field of the transported time derivative;
     the negation of Fxt_prime."""
     f = Fxt_prime(motion, t, x)
-    return VectorPullbackForm(a=-f.a, B=-f.B)
+    return PullbackLinearForm(a=-f.a, B=-f.B)
 
 
 def A_prime(motion, t, x):
@@ -108,7 +87,7 @@ def A_prime(motion, t, x):
          - np.transpose(f.a, (1, 0, 2)))
     B = (np.einsum("ij,kl->ijkl", eye, m.B) - f.B
          - np.transpose(f.B, (1, 0, 2, 3)))
-    return MatrixPullbackForm(a=a, B=B)
+    return PullbackLinearForm(a=a, B=B)
 
 
 def pullback_scalar_derivative(motion, t, x, grad_f):
@@ -125,7 +104,7 @@ def pullback_vector_derivative(motion, t, x, jac_w):
     _, g, _, _, _, _, _ = _jet(motion, t, x)
     a = np.asarray(jac_w(t, x), dtype=float) @ g
     d = motion.dim
-    return VectorPullbackForm(a=a, B=np.zeros((d, d, d)))
+    return PullbackLinearForm(a=a, B=np.zeros((d, d, d)))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import GeometryError, MaterialError
 
 # Below this gradient magnitude the nu'(s)/s quotient is replaced by its
 # removable-singularity limit.
@@ -23,9 +23,9 @@ GRADIENT_GUARD = 1e-12
 def _check_s(s):
     s = np.asarray(s, dtype=float)
     if not np.all(np.isfinite(s)):
-        raise ValueError("reluctivity argument must be finite")
+        raise MaterialError("reluctivity argument must be finite")
     if np.any(s < 0):
-        raise ValueError("reluctivity argument must be nonnegative")
+        raise MaterialError("reluctivity argument must be nonnegative")
     return s
 
 
@@ -35,7 +35,8 @@ class ConstantReluctivity:
 
     def __post_init__(self):
         if self.value <= 0:
-            raise ValueError(f"reluctivity must be positive, got {self.value}")
+            raise MaterialError(f"reluctivity must be positive, "
+                                f"got {self.value}")
 
     @property
     def nu_lower(self):
@@ -66,11 +67,11 @@ class ReluctivityCurve:
 
     def __post_init__(self):
         if not (0 < self.c1 < self.nu_a):
-            raise ValueError("curve requires 0 < c1 < nu_a")
+            raise MaterialError("curve requires 0 < c1 < nu_a")
         if self.c2 <= 0:
-            raise ValueError("curve requires c2 > 0")
+            raise MaterialError("curve requires c2 > 0")
         if self.c3 < 2:
-            raise ValueError("curve exponent c3 below 2 is not supported")
+            raise MaterialError("curve exponent c3 below 2 is not supported")
 
     @property
     def nu_lower(self):
@@ -118,8 +119,8 @@ class PhaseMaterial:
     nu: object
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"conductivity must be >= 0, got {self.sigma}")
+        if not self.sigma >= 0:
+            raise MaterialError(f"conductivity must be >= 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)

@@ -172,20 +172,31 @@ def mesh_geometry(mesh):
     return geom
 
 
+def check_mesh_args(n_x=4, n_t=2, interfaces=(), t_final=1.0):
+    """Raise GeometryError unless `generate_mesh` accepts these arguments;
+    the defaults are the smallest grid and the empty interface list.  Plain
+    Python: the configuration parser calls it once per key."""
+    if n_x < 4:
+        raise GeometryError(f"mesh needs n_x >= 4, got {n_x}")
+    if n_t < 2:
+        raise GeometryError(f"mesh needs n_t >= 2, got {n_t}")
+    if not all(0.0 < a < 1.0 for a in interfaces):
+        raise GeometryError("interfaces must lie strictly inside (0, 1)")
+    if any(b <= a for a, b in zip(interfaces, interfaces[1:])):
+        raise GeometryError("interfaces must be strictly increasing")
+    if not 0.0 < t_final < np.inf:
+        raise GeometryError(f"the period t_final must be positive and "
+                            f"finite, got {t_final}")
+
+
 def generate_mesh(n_x, n_t, interfaces, motion, t_final=1.0):
     """Structured space-time mesh with grid lines on every interface.
 
     ``interfaces`` are strictly increasing abscissae in (0, 1); the nearest
     uniform grid line is snapped onto each of them.
     """
-    if n_x < 4 or n_t < 2:
-        raise GeometryError(f"mesh needs n_x >= 4 and n_t >= 2, "
-                            f"got {n_x}, {n_t}")
     interfaces = np.atleast_1d(np.asarray(interfaces, dtype=float))
-    if np.any(interfaces <= 0.0) or np.any(interfaces >= 1.0):
-        raise GeometryError("interfaces must lie strictly inside (0, 1)")
-    if np.any(np.diff(interfaces) <= 0.0):
-        raise GeometryError("interfaces must be strictly increasing")
+    check_mesh_args(n_x, n_t, interfaces, t_final)
 
     xi = np.linspace(0.0, 1.0, n_x + 1)
     taken = set()

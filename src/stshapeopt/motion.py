@@ -1,9 +1,11 @@
 """Analytic motion maps of the design region.
 
 A motion is a time-dependent diffeomorphism ``phi_t`` with ``phi_0 = Id``,
-together with its hand-coded derivatives.  All methods are numpy-batched:
-``x`` has shape ``(..., dim)`` and ``t`` broadcasts against the batch shape.
-Derivative conventions:
+together with its hand-coded derivatives: every subclass of ``Motion``
+defines ``forward``, ``grad``, ``grad2``, ``dt`` and ``dt_grad``, from which
+the base class derives ``det``, ``inverse`` and the velocities.  All methods
+are numpy-batched: ``x`` has shape ``(..., dim)`` and ``t`` broadcasts
+against the batch shape.  Derivative conventions:
 
     grad(t, x)[..., i, j]     = d phi_i / d x_j
     grad2(t, x)[..., i, j, k] = d^2 phi_i / d x_j d x_k
@@ -23,24 +25,9 @@ _NEWTON_MAX_ITER = 50
 
 
 class Motion:
-    """Base class; subclasses provide forward/grad/grad2/dt/dt_grad."""
+    """Base class of the motions; see the module docstring."""
 
     dim = None
-
-    def forward(self, t, x):
-        raise NotImplementedError
-
-    def grad(self, t, x):
-        raise NotImplementedError
-
-    def grad2(self, t, x):
-        raise NotImplementedError
-
-    def dt(self, t, x):
-        raise NotImplementedError
-
-    def dt_grad(self, t, x):
-        raise NotImplementedError
 
     def det(self, t, x):
         g = self.grad(t, x)

@@ -109,7 +109,7 @@ class LineSearchResult:
 
 
 def line_search(mesh, layout, source, objective, state, j_current,
-                direction, tau0, config, newton=None):
+                direction, tau0, config):
     """First step halving of tau0 that decreases the objective on a valid
     mesh; every candidate re-solves the state.  A step that inverts an
     element or whose state solve fails is rejected like one that does not
@@ -121,7 +121,7 @@ def line_search(mesh, layout, source, objective, state, j_current,
             return None
         try:
             trial_mesh = deform_mesh(mesh, direction, tau)
-            trial = solve_state(trial_mesh, layout, source, newton=newton,
+            trial = solve_state(trial_mesh, layout, source,
                                 initial_guess=state.u)
         except (InvertedElementError, SolverError):
             tau *= 0.5
@@ -137,8 +137,7 @@ def line_search(mesh, layout, source, objective, state, j_current,
     return None
 
 
-def optimize(mesh, layout, source, objective, config, newton=None,
-             callback=None):
+def optimize(mesh, layout, source, objective, config, callback=None):
     """Run the descent loop from the given design.
 
     Each iteration solves state and adjoint, assembles the derivative
@@ -149,7 +148,7 @@ def optimize(mesh, layout, source, objective, config, newton=None,
     search, or the iteration cap; the accepted objective sequence is
     strictly decreasing by construction.
     """
-    state = solve_state(mesh, layout, source, newton=newton)
+    state = solve_state(mesh, layout, source)
     j_value = evaluate_objective(mesh, state.u, objective)
     records = []
     termination = "max_outer"
@@ -171,17 +170,13 @@ def optimize(mesh, layout, source, objective, config, newton=None,
             raise SolverError(f"direction is not a descent direction: "
                               f"pairing {pairing:.3e} exceeds {bound:.3e}")
         if norm <= config.theta_tol:
-            records.append(IterationRecord(n, j_value, norm, 0.0,
-                                           state.iterations))
             termination = "theta_tolerance"
             break
         tau0 = config.tau_init if n == 0 else min(2.0 * tau_prev,
                                                   config.tau_init)
         result = line_search(mesh, layout, source, objective, state,
-                             j_value, direction, tau0, config, newton=newton)
+                             j_value, direction, tau0, config)
         if result is None:
-            records.append(IterationRecord(n, j_value, norm, 0.0,
-                                           state.iterations))
             termination = "line_search_failure"
             break
         records.append(IterationRecord(n, j_value, norm, result.tau,
@@ -193,9 +188,10 @@ def optimize(mesh, layout, source, objective, config, newton=None,
         j_value = result.objective_value
         tau_prev = result.tau
     else:
-        records.append(IterationRecord(config.max_outer, j_value, 0.0, 0.0,
-                                       state.iterations))
-        state.system = None
+        norm = 0.0
+    state.system = None
+    records.append(IterationRecord(len(records), j_value, norm, 0.0,
+                                   state.iterations))
 
     return OptimizationReport(
         records=records, termination=termination, mesh=mesh, state=state,

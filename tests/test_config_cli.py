@@ -88,6 +88,27 @@ MINIMAL_MATERIALS = ("[materials]\nphase 1 sigma = 1\n"
                      "[discretization]\nnx = 8\nnt = 8\n")
 
 
+@pytest.mark.parametrize("old, new", [
+    ("domain = 0 1", "domain = a b"),
+    ("t_final = 1.0", "t_final = inf"),
+    ("t_final = 1.0", "t_final = nan"),
+    ("nx = 20", "nx = 3"),
+    ("interfaces = 0.4 0.6", "interfaces = 0.6 0.4"),
+    ("interfaces = 0.4 0.6", "interfaces = 0.4 1.5"),
+    ("interfaces = 0.4 0.6", "interfaces = 0.4 nan"),
+    ("phase 1 sigma = 10.0", "phase 1 sigma = nan"),
+])
+def test_bad_value_is_a_config_error_at_its_line(tmp_path, old, new):
+    path = write_cfg(tmp_path)
+    text = path.read_text()
+    line = text.splitlines().index(old) + 1
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ConfigError, match=f"line {line}: ") as info:
+        load_config(path)
+    assert info.value.line == line
+    assert main(["solve", "--config", str(path)]) == 2
+
+
 def test_unknown_section_and_key_rejected():
     with pytest.raises(ConfigError, match="unknown section"):
         parse_config("[nonsense]\nkey = 1\n")

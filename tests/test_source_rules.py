@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import stshapeopt
+from stshapeopt import errors
 
 PACKAGE = Path(stshapeopt.__file__).parent
 
@@ -16,6 +17,25 @@ def test_package_raises_named_errors_instead_of_asserting():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_package_raises_only_package_errors():
+    # callers and the CLI catch StshapeoptError; a builtin exception raised
+    # by name would escape them as a traceback
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if not isinstance(exc, ast.Name):
+                continue
+            cls = getattr(errors, exc.id, None)
+            if not (isinstance(cls, type)
+                    and issubclass(cls, errors.StshapeoptError)):
+                found.append(f"{path.name}:{node.lineno} {exc.id}")
     assert found == []
 
 

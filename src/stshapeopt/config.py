@@ -110,8 +110,10 @@ def _parse_lines(text):
 def _entry(sections, section, key, convert, default=None):
     """convert(text) of a key's value, or of `default` when the key is
     missing; a missing key without a default is an error.  A ValueError or
-    package error from `convert` becomes a ConfigError at the key's line."""
-    text, line = sections.get(section, {}).get(key, (default, None))
+    package error from `convert` becomes a ConfigError at the key's line.
+    The key is removed from `sections`, so that what is left once every
+    key has been read is unknown."""
+    text, line = sections.get(section, {}).pop(key, (default, None))
     if text is None:
         raise ConfigError(f"missing key {key!r} in section [{section}]")
     try:
@@ -187,7 +189,7 @@ def parse_config(text):
         f"two-dimensional setting)"), default="identity")
 
     phase_laws = {"sigma": {}, "nu": {}}
-    for key, (_, line) in sections.get("materials", {}).items():
+    for key, (_, line) in list(sections.get("materials", {}).items()):
         words = key.split()
         if len(words) != 3 or words[0] != "phase" \
                 or not words[1].isdigit() or words[2] not in _MATERIAL_KEYS:
@@ -209,13 +211,11 @@ def parse_config(text):
                            default="u")
 
     descent_kwargs = {}
-    for key, (_, line) in sections.get("descent", {}).items():
-        if key not in _DESCENT_KEYS:
-            raise ConfigError(f"unknown descent key {key!r}", line=line)
+    for key in [k for k in sections.get("descent", {}) if k in _DESCENT_KEYS]:
         name = "include_cauchy_riemann" if key == "cauchy_riemann" else key
         descent_kwargs[name] = entry("descent", key, _DESCENT_KEYS[key])
 
-    return RunConfig(
+    config = RunConfig(
         t_final=t_final, interfaces=interfaces, motion_name=motion_name,
         phase_sigma=phase_laws["sigma"], phase_nu=phase_laws["nu"],
         source_expr=source_expr, n_x=n_x, n_t=n_t,
@@ -228,6 +228,12 @@ def parse_config(text):
                                    default="sin(pi*x)"),
         gradient_check_eps=entry("gradient_check", "eps", _floats,
                                  default="1e-2 1e-3 1e-4"))
+    unknown = [(line, section, key) for section, keys in sections.items()
+               for key, (_, line) in keys.items()]
+    if unknown:
+        line, section, key = min(unknown)
+        raise ConfigError(f"unknown {section} key {key!r}", line=line)
+    return config
 
 
 def load_config(path):

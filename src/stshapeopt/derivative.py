@@ -159,11 +159,10 @@ def pde_surface_derivative(mesh, layout, u, p):
     return InterfaceDensities(node_ids=nodes, values=values, normals=normals)
 
 
-def magnetization_supplement(mesh, magnetization, magnetization_grad, p,
-                             element_mask):
+def magnetization_supplement(mesh, magnetization_grad, p, element_mask):
     """Density increment from a smooth transported field supported on the
-    masked spatial elements; the field and its spatial derivative are
-    callables of (t, x).  In one dimension only the derivative enters."""
+    masked spatial elements, given by the field's spatial derivative as a
+    callable of (t, x): in one dimension the field itself does not enter."""
     sm = mesh.spatial_mesh()
     _, _, p_x, _, _ = _element_planes(mesh, p.nodal())
 

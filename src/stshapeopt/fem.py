@@ -243,7 +243,12 @@ class LinearSystem:
     ``factored`` is an earlier LinearSystem whose factor is taken over when
     its matrix has the same CSC indptr, indices and data; any other matrix
     is factored afresh.  The matrix is copied, so changing the caller's
-    array afterwards changes neither the solves nor that comparison."""
+    array afterwards changes neither the solves nor that comparison.
+
+    ``jacobian_of`` is the (mesh, layout) pair whose constant-law Jacobian
+    the matrix is, as set by ``solve_state``; None for any other matrix."""
+
+    jacobian_of = None
 
     def __init__(self, matrix, factored=None):
         self.matrix = matrix = sp.csc_matrix(matrix, copy=True)
@@ -330,8 +335,11 @@ def solve_state(mesh, layout, source, newton=None, initial_guess=None):
             load norm and the initial residual norm.
         initial_guess: optional Field used to warm-start the iteration.
 
-    Returns a SolveResult; constant reluctivity converges in one iteration
-    and hands over its factorization as ``SolveResult.system``.
+    Returns a SolveResult.  With constant reluctivity the Jacobian A does
+    not depend on u: it is assembled once, each residual is A u - load
+    instead of an element pass unless its norm lies within a factor 2 of
+    the tolerance, and the factor of A is handed over as
+    ``SolveResult.system``.
     """
     newton = newton or NewtonOptions()
     geom = element_geometry(mesh, layout)
@@ -342,14 +350,25 @@ def solve_state(mesh, layout, source, newton=None, initial_guess=None):
         u = Field.zeros(dofmap)
 
     load = _load_vector(mesh, geom, dofmap, source)
+    if layout.all_constant:
+        matrix = _jacobian_matrix(mesh, geom, dofmap, u.nodal())
+    scale = np.linalg.norm(load)
 
     def residual(u_field):
+        if layout.all_constant:
+            res = matrix @ u_field.values - load
+            # A u - load differs from the element pass in roundoff, so near
+            # the tolerance the element pass decides: a converged state
+            # then meets it in assemble_state_residual too
+            bound = newton.tol * scale
+            if not 0.5 * bound < np.linalg.norm(res) < 2.0 * bound:
+                return res
         local = _residual_local(mesh, geom, u_field.nodal())
         return _scatter_vector(mesh, dofmap, local) - load
 
     res = residual(u)
     res_norm = np.linalg.norm(res)
-    scale = max(np.linalg.norm(load), res_norm)
+    scale = max(scale, res_norm)
     if scale == 0.0:
         return SolveResult(u=u, iterations=0, residual_norms=[0.0])
 
@@ -362,7 +381,12 @@ def solve_state(mesh, layout, source, newton=None, initial_guess=None):
                 f"Newton did not converge in {newton.max_iter} iterations "
                 f"(residual {res_norm:.3e})", residual=res_norm)
         system = None  # so that two factors are never alive at once
-        system = LinearSystem(_jacobian_matrix(mesh, geom, dofmap, u.nodal()))
+        if layout.all_constant:
+            system = LinearSystem(matrix)
+            system.jacobian_of = (mesh, layout)
+        else:
+            system = LinearSystem(
+                _jacobian_matrix(mesh, geom, dofmap, u.nodal()))
         delta = system.solve(-res)
         damping = 1.0
         while True:
@@ -396,10 +420,18 @@ def solve_adjoint(mesh, layout, u, objective, factored=None):
     the negative objective derivative.
 
     ``factored`` is an earlier LinearSystem, normally the ``system`` of the
-    SolveResult that gave u; its factor is reused when its matrix equals
-    this Jacobian and ignored otherwise."""
-    system = LinearSystem(assemble_state_jacobian(mesh, layout, u),
-                          factored=factored)
+    SolveResult that gave u.  If every law is constant and ``factored``
+    comes from ``solve_state`` on this same mesh and layout object, its
+    matrix is this u-independent Jacobian and nothing is assembled;
+    otherwise the factor is reused only if the assembled Jacobian equals
+    its matrix entry for entry."""
+    origin = getattr(factored, "jacobian_of", None)
+    if layout.all_constant and origin is not None \
+            and origin[0] is mesh and origin[1] is layout:
+        matrix = factored.matrix
+    else:
+        matrix = assemble_state_jacobian(mesh, layout, u)
+    system = LinearSystem(matrix, factored=factored)
     b = -objective_gradient_vector(mesh, u, objective)
     return Field(u.dofmap, system.solve_transpose(b))
 

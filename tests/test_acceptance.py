@@ -446,7 +446,7 @@ def test_criterion_8_motor_scale_exclusion():
     def big_l_grad(t, x):
         return 2.0 * np.cos(2.0 * x + 0.5 * t) + 0.6 * x
 
-    inc = magnetization_supplement(mesh, big_l, big_l_grad, adjoint, mask)
+    inc = magnetization_supplement(mesh, big_l_grad, adjoint, mask)
     worst = 0.0
     for _ in range(5):
         theta = RNG.normal(size=len(sm.nodes))

@@ -265,3 +265,23 @@ def test_shipped_configs_parse_and_build():
         cfg = parse_config(path.read_text())
         mesh, layout, source, objective = cfg.build()
         assert mesh.n_elements == 2 * cfg.n_x * cfg.n_t
+
+
+@pytest.mark.parametrize("old, new", [
+    ("t_final = 1.0", "t_finl = 3"),
+    ("[source]", "[source]\nsource = 0"),
+    ("nt = 20", "nt = 20\nquadratur = 2"),
+    ("j = u", "j = u\nk = u"),
+    ("vtk = false", "vtk = false\nvtkk = true"),
+    ("eps = 1e-2 1e-3 1e-4", "eps = 1e-2 1e-3 1e-4\nepss = 1e-2"),
+    ("theta_tol = 1e-9", "theta_tol = 1e-9\ntheta_tl = 1e-3"),
+])
+def test_unknown_key_is_a_config_error_at_its_line(tmp_path, old, new):
+    path = write_cfg(tmp_path)
+    text = path.read_text().replace(old, new)
+    path.write_text(text)
+    line = text.splitlines().index(new.splitlines()[-1]) + 1
+    with pytest.raises(ConfigError, match=f"line {line}: unknown") as info:
+        load_config(path)
+    assert info.value.line == line
+    assert main(["solve", "--config", str(path)]) == 2

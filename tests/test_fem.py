@@ -210,6 +210,19 @@ def test_cached_column_order_keeps_no_factor_alive():
         assert count == 2
 
 
+def recorded(monkeypatch, owner, name, arg=0):
+    """Patch owner.name to record argument `arg` of every call."""
+    original = getattr(owner, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[arg])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
 def counted_splu():
     return mock.patch.object(fem.spla, "splu", wraps=spla.splu)
 
@@ -236,16 +249,18 @@ def test_linear_system_takes_over_the_factor_of_an_equal_matrix():
         <= 1e-12 * np.linalg.norm(b)
 
 
-def test_linear_adjoint_through_the_hand_off_equals_a_fresh_one():
+def test_linear_adjoint_through_the_hand_off_equals_a_fresh_one(
+        monkeypatch):
     mesh, layout, source, objective = moving_interface_problem(12)
     state = solve_state(mesh, layout, source)
     assert state.system is not None
+    assembled = recorded(monkeypatch, fem, "_jacobian_matrix")
     with counted_splu() as splu:
         handed = solve_adjoint(mesh, layout, state.u, objective,
                                factored=state.system)
-        assert splu.call_count == 0
+        assert splu.call_count == 0 and assembled == []
         fresh = solve_adjoint(mesh, layout, state.u, objective)
-        assert splu.call_count == 1
+        assert splu.call_count == 1 and len(assembled) == 1
     assert np.array_equal(handed.values, fresh.values)
 
 
@@ -629,3 +644,69 @@ def test_time_shift_relabels_solution():
             a = u2[mesh.vertex_id(j, i)]
             b = u1[mesh.vertex_id((j + rows) % n_t, i)]
             assert abs(a - b) < 1e-9 * scale
+
+
+# ---------------------------------------------------------------------------
+# constant-law shortcuts
+
+
+def test_linear_state_residual_is_the_matrix_action(monkeypatch):
+    mesh, layout, source, _ = moving_interface_problem(16)
+    dofmap = DofMap.from_mesh(mesh)
+    solved = solve_state(mesh, layout, source).u
+    guess = Field(dofmap, solved.values
+                  * (1.0 + 0.5 * RNG.standard_normal(dofmap.n_free)))
+    load_norm = np.linalg.norm(assemble_state_residual(
+        mesh, layout, Field.zeros(dofmap), source))
+    element_passes = recorded(monkeypatch, fem, "_residual_local")
+    newton_rhs = recorded(monkeypatch, LinearSystem, "solve", arg=1)
+    result = solve_state(mesh, layout, source, initial_guess=guess)
+    assert element_passes == [] and len(newton_rhs) == 1
+    first = assemble_state_residual(mesh, layout, guess, source)
+    assert np.linalg.norm(newton_rhs[0] + first) <= 1e-13 * load_norm
+    last = assemble_state_residual(mesh, layout, result.u, source)
+    assert abs(result.residual_norms[-1] - np.linalg.norm(last)) \
+        <= 1e-13 * load_norm
+
+
+@pytest.mark.parametrize("ratio, iterations", [(0.9, 0), (1.5, 1)])
+def test_linear_state_near_the_tolerance_is_judged_by_the_element_pass(
+        monkeypatch, ratio, iterations):
+    # A u - load and the element pass differ in roundoff; a state whose
+    # residual is near the tolerance must meet it in the public residual
+    mesh, layout, source, _ = moving_interface_problem(16)
+    dofmap = DofMap.from_mesh(mesh)
+    solved = solve_state(mesh, layout, source).u
+    matrix = assemble_state_jacobian(mesh, layout, solved)
+    load_norm = np.linalg.norm(assemble_state_residual(
+        mesh, layout, Field.zeros(dofmap), source))
+    bound = NewtonOptions().tol * load_norm
+    d = RNG.standard_normal(dofmap.n_free)
+    guess = Field(dofmap, solved.values
+                  + ratio * bound / np.linalg.norm(matrix @ d) * d)
+    element_passes = recorded(monkeypatch, fem, "_residual_local")
+    result = solve_state(mesh, layout, source, initial_guess=guess)
+    assert len(element_passes) == 1 and result.iterations == iterations
+    assert np.linalg.norm(assemble_state_residual(
+        mesh, layout, result.u, source)) <= bound
+
+
+def test_adjoint_assembles_for_another_mesh_or_a_nonlinear_layout(
+        monkeypatch):
+    mesh, layout, source, objective = moving_interface_problem(12)
+    state = solve_state(mesh, layout, source)
+    moved = deform_mesh(mesh, theta_bump(mesh.spatial_mesh()), 0.02)
+    moved_state = solve_state(moved, layout, source)
+    _, curve_layout, _, _ = nonlinear_problem(12)
+    assembled = recorded(monkeypatch, fem, "_jacobian_matrix")
+    with counted_splu() as splu:
+        on_moved = solve_adjoint(moved, layout, moved_state.u, objective,
+                                 factored=state.system)
+        assert len(assembled) == 1 and splu.call_count == 1
+        curved = solve_adjoint(mesh, curve_layout, state.u, objective,
+                               factored=state.system)
+        assert len(assembled) == 2 and splu.call_count == 2
+    assert np.array_equal(on_moved.values, solve_adjoint(
+        moved, layout, moved_state.u, objective).values)
+    assert np.array_equal(curved.values, solve_adjoint(
+        mesh, curve_layout, state.u, objective).values)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import moving_interface_problem, theta_bump
-from stshapeopt import (ConstantReluctivity, Identity, PhaseLayout,
-                        PhaseMaterial, Polynomial1D, deform_mesh,
+from stshapeopt import (ConstantReluctivity, CustomMotion, Identity,
+                        PhaseLayout, PhaseMaterial, Polynomial1D, deform_mesh,
                         generate_mesh, pde_volume_densities, solve_adjoint,
                         solve_state, vertical_line_elements)
 from stshapeopt.errors import GeometryError, InvertedElementError
@@ -157,14 +157,29 @@ def test_vertical_line_boundary_nudge_and_exit():
         vertical_line_elements(mesh, 1.2)
 
 
+def quadratic_in_t():
+    """phi_t(x) = x + t^2 x^2: monotone on [0, 1], not affine in t."""
+    def tb(t):
+        return np.asarray(t, dtype=float)[..., None] if np.ndim(t) else t
+    return CustomMotion(
+        dim=1, forward=lambda t, x: x + tb(t) ** 2 * x * x,
+        grad=lambda t, x: (1.0 + 2.0 * tb(t) ** 2 * x)[..., None],
+        grad2=lambda t, x: np.broadcast_to(
+            np.asarray(2.0 * tb(t) ** 2)[..., None, None],
+            x.shape + (1, 1)).copy(),
+        dt=lambda t, x: 2.0 * tb(t) * x * x,
+        dt_grad=lambda t, x: (4.0 * tb(t) * x)[..., None])
+
+
 def test_trajectory_that_misses_the_diagonals_raises():
-    # vertices placed by the identity motion, trajectories followed with the
-    # polynomial one: at xi = 0.9 no slab's diagonal is crossed
-    mesh = dataclasses.replace(
-        generate_mesh(8, 4, (0.4, 0.6), Identity(dim=1)),
-        motion=Polynomial1D())
-    with pytest.raises(GeometryError, match="does not cross"):
-        trajectory_intervals(mesh, np.array([0.9]))
+    # vertices placed by the identity motion, trajectories followed with a
+    # moving one, affine in t or not: at xi = 0.9 some slab's diagonal is
+    # not crossed
+    for motion in (Polynomial1D(), quadratic_in_t()):
+        mesh = dataclasses.replace(
+            generate_mesh(8, 4, (0.4, 0.6), Identity(dim=1)), motion=motion)
+        with pytest.raises(GeometryError, match="does not cross"):
+            trajectory_intervals(mesh, np.array([0.9]))
 
 
 def test_trajectory_intervals_batch_matches_single():
@@ -304,3 +319,51 @@ def test_quadrature_points_equal_the_einsum_reference(motion):
         geom = mesh_geometry(m)
         assert np.array_equal(geom.qp_t, qp[:, :, 0])
         assert np.array_equal(geom.qp_x, qp[:, :, 1])
+
+
+def bisecting(motion):
+    """The same motion, declared not affine in t, so that the crossing
+    times take the generic bisection."""
+    other = type(motion)()
+    other.affine_in_t = False
+    return other
+
+
+@pytest.mark.parametrize("motion", [Polynomial1D(), Identity(dim=1)],
+                         ids=["polynomial", "identity"])
+def test_closed_form_crossings_match_the_bisection(motion):
+    assert motion.affine_in_t
+    mesh = generate_mesh(40, 40, (0.4, 0.6), motion)
+    deformed = deform_mesh(mesh, theta_bump(mesh.spatial_mesh()), 0.03)
+    x0 = np.linspace(0.013, 0.987, 37)
+    for m in (mesh, deformed):
+        elements, closed = trajectory_intervals(m, x0)
+        other = dataclasses.replace(m, motion=bisecting(motion))
+        same_elements, bisected = trajectory_intervals(other, x0)
+        assert np.array_equal(elements, same_elements)
+        # relative to the period: a crossing next to a slab end is ~0
+        assert np.max(np.abs(closed - bisected)) <= 1e-15 * m.t_final
+
+
+def test_motion_not_affine_in_t_bisects_to_the_crossing():
+    motion = quadratic_in_t()
+    assert not motion.affine_in_t
+    mesh = generate_mesh(12, 12, (0.4, 0.6), motion)
+    x0 = np.array([0.11, 0.37, 0.52, 0.74])
+    elements, t_nodes = trajectory_intervals(mesh, x0)
+    t_star = t_nodes[:, 1::2]
+    t_lo, t_hi = t_nodes[:, 0:-1:2], t_nodes[:, 2::2]
+    assert np.all((t_lo < t_star) & (t_star < t_hi))
+    # the crossing lies on the diagonal shared by the two elements
+    shared = [np.intersect1d(*mesh.elements[pair])
+              for pair in elements.reshape(len(x0), -1, 2).reshape(-1, 2)]
+    a, b = mesh.vertices[np.array(shared)].transpose(1, 0, 2)
+    x_star = motion.forward(t_star.ravel(), np.repeat(x0, mesh.n_t)[:, None])
+    frac = (t_star.ravel() - a[:, 0]) / (b[:, 0] - a[:, 0])
+    on_diag = a[:, 1] + frac * (b[:, 1] - a[:, 1])
+    assert np.max(np.abs(x_star[:, 0] - on_diag)) <= 1e-14
+    # the chord from the slab ends misses that root
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(motion, "affine_in_t", True)
+        _, chord = trajectory_intervals(mesh, x0)
+    assert np.max(np.abs(chord[:, 1::2] - t_star)) > 1e-6

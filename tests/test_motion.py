@@ -95,3 +95,31 @@ def test_custom_motion_with_default_inverse():
     y = motion.forward(0.6, x)
     assert np.max(np.abs(motion.inverse(0.6, y) - x)) < 1e-12
     assert np.max(np.abs(motion.velocity(0.6, y) - motion.dt(0.6, x))) < 1e-12
+
+
+def declared_affine_in_t():
+    found, pending = [], [Motion]
+    while pending:
+        cls = pending.pop()
+        pending += cls.__subclasses__()
+        if cls.affine_in_t:
+            found.append(cls)
+    return found
+
+
+def test_affine_in_t_is_declared_by_identity_and_polynomial_only():
+    assert {cls.__name__ for cls in declared_affine_in_t()} == \
+        {"Identity", "Polynomial1D"}
+
+
+@pytest.mark.parametrize("cls", declared_affine_in_t(),
+                         ids=lambda cls: cls.__name__)
+def test_declared_affine_motion_is_affine_in_t(cls):
+    # the mesh's closed-form diagonal crossings rely on this declaration
+    motion = cls()
+    x = np.linspace(0.0, 1.0, 101)[:, None]
+    t = np.linspace(0.0, 1.0, 9)
+    for t0, t1 in [(a, b) for a in t for b in t if a < b]:
+        mid = motion.forward(0.5 * (t0 + t1), x)
+        mean = 0.5 * (motion.forward(t0, x) + motion.forward(t1, x))
+        assert np.max(np.abs(mid - mean)) <= 1e-15

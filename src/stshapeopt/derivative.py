@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedCaseError
-from .fem import (_derivative_integrand, _element_fields,
-                  _reluctivity_arrays, element_geometry, evaluate_objective,
-                  solve_state)
+from .fem import (_derivative_integrand, _reluctivity_arrays, _slope,
+                  element_geometry, evaluate_objective, solve_state)
 from .kernels import jet1d, m_prime, pullback_scalar_derivative
 from .mesh import deform_mesh, mesh_geometry, trajectory_intervals
 
@@ -58,10 +57,10 @@ class InterfaceDensities:
 def _element_planes(mesh, nodal):
     """Affine representation (value at vertex 0, dt-slope, dx-slope, anchor)
     of a P1 field on every element."""
-    slope_t, slope_x, _ = _element_fields(mesh, mesh_geometry(mesh), nodal)
+    ue, geom = nodal[mesh.elements], mesh_geometry(mesh)
     anchor = mesh.elements[:, 0]
-    return (nodal[anchor], slope_t, slope_x, mesh.vertices[anchor, 0],
-            mesh.vertices[anchor, 1])
+    return (ue[:, 0], _slope(ue, geom.grad_t), _slope(ue, geom.grad_x),
+            mesh.vertices[anchor, 0], mesh.vertices[anchor, 1])
 
 
 def _trajectory_samples(mesh, xi_c):

@@ -16,6 +16,7 @@ argument |grad u| is constant per element.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,11 +42,10 @@ class DofMap:
 
     @classmethod
     def from_mesh(cls, mesh):
-        n_v = mesh.n_vertices
         lateral = mesh.lateral_vertex_mask()
         top = mesh.row == mesh.n_t
         own = ~lateral & ~top
-        vertex_dof = np.full(n_v, -1, dtype=int)
+        vertex_dof = np.full(mesh.n_vertices, -1, dtype=int)
         vertex_dof[own] = np.arange(np.count_nonzero(own))
         # Bottom-row vertex ids equal the column index.
         top_ids = np.nonzero(top & ~lateral)[0]
@@ -83,10 +83,22 @@ class Objective:
 
 @dataclass(frozen=True)
 class ElementGeometry(MeshGeometry):
-    """The mesh's cached geometry plus the layout's per-element data."""
+    """Mesh geometry, layout data and u-independent blocks built on use."""
 
     sigma: np.ndarray
     phase_groups: list
+
+    @cached_property
+    def conv(self):
+        """Convection weights (area / 3) sum_q v_q N_i(q), (n_e, 3)."""
+        return (self.area / 3.0)[:, None] * (self.qp_v @ NQ)
+
+    @cached_property
+    def sigma_block(self):
+        """The Jacobian's u-independent blocks, (n_e, 3, 3)."""
+        return (self.sigma * self.area / 3.0)[:, None, None] \
+            * self.grad_t[:, None, :] + self.sigma[:, None, None] \
+            * self.conv[:, :, None] * self.grad_x[:, None, :]
 
 
 def element_geometry(mesh, layout):
@@ -99,20 +111,17 @@ def element_geometry(mesh, layout):
 
 
 def _reluctivity_arrays(geom, grad_norm):
-    nu = np.empty_like(grad_norm)
-    nu_prime = np.empty_like(grad_norm)
+    nu, nu_prime = np.empty_like(grad_norm), np.empty_like(grad_norm)
     for mask, law in geom.phase_groups:
         if np.any(mask):
             nu[mask], nu_prime[mask] = law.eval(grad_norm[mask])
     return nu, nu_prime
 
 
-def _element_fields(mesh, geom, u_nodal):
-    ue = u_nodal[mesh.elements]
-    u_t = np.sum(ue * geom.grad_t, axis=1)
-    u_x = np.sum(ue * geom.grad_x, axis=1)
-    u_q = ue @ NQ.T
-    return u_t, u_x, u_q
+def _slope(ue, grad):
+    """Per-element sum_i ue_i grad_i, added as np.sum(axis=1) adds it."""
+    return ue[:, 0] * grad[:, 0] + ue[:, 1] * grad[:, 1] \
+        + ue[:, 2] * grad[:, 2]
 
 
 def _scatter_vector(mesh, dofmap, local):
@@ -133,9 +142,11 @@ def _held(cache, key):
 
 
 def _assembly_plan(dofs, n_free):
-    """CSC pattern, and per stored entry the flat ids of the local 3x3
-    entries it sums, in the order COO-to-CSC conversion adds them: a stable
-    bucket by column, SciPy's per-column index sort, then left to right."""
+    """CSC pattern, and a CSR matrix S of boolean ones with one row per
+    stored entry, holding the flat ids of the local 3x3 entries it sums in
+    the order COO-to-CSC conversion adds them: a stable bucket by column,
+    SciPy's per-column index sort, then left to right.  S @ local adds each
+    row left to right from 0.0 as that conversion does, bit for bit."""
     dofs = dofs.astype(np.int32)
     rows = np.repeat(dofs, 3, axis=1).ravel()
     cols = np.tile(dofs, (1, 3)).ravel()
@@ -147,26 +158,21 @@ def _assembly_plan(dofs, n_free):
     csc.sort_indices()
     first = np.r_[True, (csc.indices[1:] != csc.indices[:-1])
                   | (cols[1:] != cols[:-1])]
-    slot = np.cumsum(first, dtype=np.int32) - 1
-    rank = np.arange(len(ids), dtype=np.int32) \
-        - np.flatnonzero(first).astype(np.int32)[slot]
-    adds = [(slot[rank == k], csc.data[rank == k])
-            for k in range(1, rank.max() + 1)]
+    starts = np.r_[np.flatnonzero(first), len(ids)].astype(np.int32)
+    summation = sp.csr_matrix((np.ones(len(ids), bool), csc.data, starts),
+                              shape=(len(starts) - 1, dofs.size * 3))
     return (np.searchsorted(cols[first], bounds).astype(np.int32),
-            csc.indices[first], csc.data[first], adds)
+            csc.indices[first], summation)
 
 
 def _scatter_matrix(mesh, dofmap, local):
     key = (dofmap.vertex_dof[mesh.elements], dofmap.n_free)
     plan = _held(_ASSEMBLY_PLAN, key) or _assembly_plan(*key)
     _ASSEMBLY_PLAN[0] = (key, plan)
-    indptr, indices, first, adds = plan
-    flat = local.reshape(-1)
-    data = flat[first]
-    for slots, ids in adds:
-        data[slots] += flat[ids]
+    indptr, indices, summation = plan
     # The cached pattern is copied, so no caller can alter it.
-    return sp.csc_matrix((data, indices.copy(), indptr.copy()),
+    return sp.csc_matrix((summation @ local.reshape(-1), indices.copy(),
+                          indptr.copy()),
                          shape=(dofmap.n_free, dofmap.n_free))
 
 
@@ -180,11 +186,11 @@ def _load_vector(mesh, geom, dofmap, source):
 
 
 def _residual_local(mesh, geom, u_nodal):
-    u_t, u_x, _ = _element_fields(mesh, geom, u_nodal)
+    ue = u_nodal[mesh.elements]
+    u_t, u_x = _slope(ue, geom.grad_t), _slope(ue, geom.grad_x)
     nu, _ = _reluctivity_arrays(geom, np.abs(u_x))
-    conv = (geom.area / 3.0)[:, None] * (geom.qp_v @ NQ)
     local = geom.sigma[:, None] * (u_t[:, None] * (geom.area / 3.0)[:, None]
-                                   + u_x[:, None] * conv)
+                                   + u_x[:, None] * geom.conv)
     local += (nu * u_x * geom.area)[:, None] * geom.grad_x
     if not np.all(np.isfinite(local)):
         bad = int(np.nonzero(~np.isfinite(local).all(axis=1))[0][0])
@@ -193,16 +199,12 @@ def _residual_local(mesh, geom, u_nodal):
 
 
 def _jacobian_matrix(mesh, geom, dofmap, u_nodal):
-    _, u_x, _ = _element_fields(mesh, geom, u_nodal)
+    u_x = _slope(u_nodal[mesh.elements], geom.grad_x)
     nu, nu_prime = _reluctivity_arrays(geom, np.abs(u_x))
     d_nu = nu + nu_prime * np.abs(u_x)
-
-    conv = (geom.area / 3.0)[:, None] * (geom.qp_v @ NQ)
-    k = (geom.sigma * geom.area / 3.0)[:, None, None] \
-        * geom.grad_t[:, None, :] * np.ones((1, 3, 1))
-    k += geom.sigma[:, None, None] * conv[:, :, None] * geom.grad_x[:, None, :]
-    k += (d_nu * geom.area)[:, None, None] \
-        * geom.grad_x[:, :, None] * geom.grad_x[:, None, :]
+    # C order: a flat view of the column-major grad_x products would copy
+    k = np.add(geom.sigma_block, (d_nu * geom.area)[:, None, None]
+               * geom.grad_x[:, :, None] * geom.grad_x[:, None, :], order="C")
     return _scatter_matrix(mesh, dofmap, k)
 
 
@@ -344,10 +346,8 @@ def solve_state(mesh, layout, source, newton=None, initial_guess=None):
     newton = newton or NewtonOptions()
     geom = element_geometry(mesh, layout)
     dofmap = DofMap.from_mesh(mesh)
-    if initial_guess is not None:
-        u = Field(dofmap, initial_guess.values.copy())
-    else:
-        u = Field.zeros(dofmap)
+    u = Field.zeros(dofmap) if initial_guess is None \
+        else Field(dofmap, initial_guess.values.copy())
 
     load = _load_vector(mesh, geom, dofmap, source)
     if layout.all_constant:
@@ -473,13 +473,14 @@ def _element_rule(mesh, layout, u, source, spatial_mesh, theta, j, test):
     (axis 1) for P1 test functions given by their vertex values test
     (n_e or 1, 3, k); j is the objective integrand."""
     geom = element_geometry(mesh, layout)
-    u_t, u_x, u_q = _element_fields(mesh, geom, u.nodal())
+    ue = u.nodal()[mesh.elements]
+    u_t, u_x = _slope(ue, geom.grad_t), _slope(ue, geom.grad_x)
     nu, nu_prime = _reluctivity_arrays(geom, np.abs(u_x))
     t, x, xi = (a[..., None] for a in (geom.qp_t, geom.qp_x, geom.qp_xi))
     s0, s1 = _derivative_integrand(
         jet1d(mesh.motion, t, xi), geom.sigma[:, None, None],
         nu[:, None, None], nu_prime[:, None, None], u_t[:, None, None],
-        u_x[:, None, None], j(u_q)[..., None], source.values(t, x, xi),
+        u_x[:, None, None], j(ue @ NQ.T)[..., None], source.values(t, x, xi),
         source.gradient(t, x, xi), np.einsum("qi,eik->eqk", NQ, test),
         np.einsum("ei,eik->ek", geom.grad_x, test)[:, None, :])
     weight = (geom.area / 3.0)[:, None, None]

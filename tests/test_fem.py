@@ -108,11 +108,20 @@ def small_state(mesh):
     return Field(dofmap, 1e-3 * RNG.normal(size=dofmap.n_free))
 
 
-@pytest.mark.parametrize("problem", [moving_interface_problem,
-                                     nonlinear_problem, identity_problem],
-                         ids=["linear", "curve_law", "identity"])
-def test_jacobian_equals_coo_assembly_bit_for_bit(problem):
-    mesh, layout, _, _ = problem(16, 12)
+@pytest.mark.parametrize("problem, size", [
+    (moving_interface_problem, (16, 12)), (nonlinear_problem, (16, 12)),
+    (identity_problem, (16, 12)), (nonlinear_problem, (80,))],
+    ids=["linear", "curve_law", "identity", "curve_law_80"])
+def test_jacobian_equals_coo_assembly_bit_for_bit(problem, size):
+    mesh, layout, _, _ = problem(*size)
+    # np.add.reduceat and numpy's pairwise sums add 8-term runs as a tree,
+    # not left to right; on these meshes stored entries sum up to 8 blocks
+    dofs = DofMap.from_mesh(mesh).vertex_dof[mesh.elements]
+    rows, cols = np.repeat(dofs, 3, axis=1), np.tile(dofs, 3)
+    _, terms = np.unique((rows * mesh.n_vertices + cols)[(rows >= 0)
+                                                         & (cols >= 0)],
+                         return_counts=True)
+    assert terms.max() == 8
     deformed = deform_mesh(mesh, theta_bump(mesh.spatial_mesh()), 0.03)
     for m in (mesh, deformed):
         matrix, oracle = coo_jacobian(m, layout, small_state(m))
@@ -262,6 +271,47 @@ def test_linear_adjoint_through_the_hand_off_equals_a_fresh_one(
         fresh = solve_adjoint(mesh, layout, state.u, objective)
         assert splu.call_count == 1 and len(assembled) == 1
     assert np.array_equal(handed.values, fresh.values)
+
+
+def iterate_field(dofmap, nodal):
+    values = np.zeros(dofmap.n_free)
+    has = dofmap.vertex_dof >= 0
+    values[dofmap.vertex_dof[has]] = nodal[has]
+    return Field(dofmap, values)
+
+
+def test_every_newton_jacobian_equals_a_fresh_assembly(monkeypatch):
+    # the cached sigma block must not go stale between Newton steps
+    mesh, layout, source, _ = nonlinear_problem(16)
+    calls = []
+    original = fem._jacobian_matrix
+
+    def spy(mesh_, geom, dofmap, u_nodal):
+        matrix = original(mesh_, geom, dofmap, u_nodal)
+        calls.append((iterate_field(dofmap, u_nodal), matrix.copy()))
+        return matrix
+
+    monkeypatch.setattr(fem, "_jacobian_matrix", spy)
+    result = solve_state(mesh, layout, source)
+    monkeypatch.undo()
+    assert result.iterations > 2 and len(calls) == result.iterations
+    for u, matrix in calls:
+        assert same_csc(matrix, assemble_state_jacobian(mesh, layout, u))
+
+
+def test_sigma_block_is_built_once_per_element_geometry(monkeypatch):
+    mesh, layout, source, _ = nonlinear_problem(16)
+    block = vars(fem.ElementGeometry)["sigma_block"]
+    original = block.func
+    built = []
+    monkeypatch.setattr(block, "func",
+                        lambda geom: built.append(geom) or original(geom))
+    geometries = recorded(monkeypatch, fem, "_jacobian_matrix", arg=1)
+    result = solve_state(mesh, layout, source)
+    assert result.iterations > 2 and len(geometries) == result.iterations
+    assert len(built) == 1 and all(g is built[0] for g in geometries)
+    assemble_state_jacobian(mesh, layout, result.u)
+    assert len(built) == 2 and built[1] is not built[0]
 
 
 def test_nonlinear_state_hands_over_no_factor():

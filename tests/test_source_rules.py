@@ -53,6 +53,24 @@ def test_package_never_calls_eval_exec_or_compile():
     assert found == []
 
 
+def test_matrices_are_assembled_only_through_the_fixed_pattern():
+    # _scatter_matrix sums in the order COO-to-CSC conversion does; a
+    # second assembly path (COO triplets, np.add.at) would fork it
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            if not isinstance(func, ast.Attribute):
+                continue
+            if func.attr in ("coo_matrix", "coo_array") \
+                    or func.attr == "at" \
+                    and isinstance(func.value, ast.Attribute) \
+                    and func.value.attr == "add":
+                found.append(f"{path.name}:{node.lineno} {func.attr}")
+    assert found == []
+
+
 def factorization_sites(tree):
     """(enclosing class, enclosing function) of every reference to a SuperLU
     factorization entry point."""

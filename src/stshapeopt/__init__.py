@@ -11,10 +11,8 @@ from .fem import (DofMap, Field, NewtonOptions, Objective,
                   evaluate_objective, solve_adjoint, solve_state,
                   solve_tangent, volume_form_pairing)
 from .materials import (ConstantReluctivity, PhaseLayout, PhaseMaterial,
-                        ReluctivityCurve, arkkio_q, arkkio_torque,
-                        reluctivity)
-from .mesh import (SpaceTimeMesh, SpatialMesh, deform_mesh, generate_mesh,
-                   vertical_line_elements)
+                        ReluctivityCurve, arkkio_q, arkkio_torque)
+from .mesh import SpaceTimeMesh, SpatialMesh, deform_mesh, generate_mesh
 from .motion import CustomMotion, Identity, Polynomial1D, Rotation2D
 from .optimizer import (DescentConfig, OptimizationReport,
                         hilbertian_direction, line_search, optimize)

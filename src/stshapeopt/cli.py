@@ -113,10 +113,9 @@ def cmd_check_gradient(cfg, args):
     adjoint = solve_adjoint(mesh, layout, state.u, objective,
                             factored=state.system)
     state.system = None
-    spatial = mesh.spatial_mesh()
-    theta = _theta_nodes(cfg, spatial)
+    theta = _theta_nodes(cfg, mesh.spatial_mesh())
     adjoint_value = volume_form_pairing(mesh, layout, state.u, adjoint,
-                                        source, objective, spatial, theta)
+                                        source, objective, theta)
 
     print(f"{'eps':>12} {'fd':>22} {'adjoint':>22} {'rel.error':>12}")
     errors = []

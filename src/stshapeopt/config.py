@@ -12,7 +12,7 @@ grammar of `expressions`, or material specs ``constant <v>`` and
 ``curve <nu_a> <c1> <c2> <c3>``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -166,10 +166,6 @@ _MATERIAL_KEYS = {"sigma": _checked(float, lambda s: s >= 0,
                                     "conductivity must be >= 0"),
                   "nu": _reluctivity}
 
-_DESCENT_KEYS = {"alpha": float, "beta": float, "tau_init": float,
-                 "tau_min": float, "theta_tol": float, "max_outer": int,
-                 "max_halvings": int, "cauchy_riemann": _bool}
-
 
 def parse_config(text):
     """Parse and validate a run configuration."""
@@ -210,16 +206,22 @@ def parse_config(text):
     objective_expr = entry("objective", "j", lambda t: Expression(t, ("u",)),
                            default="u")
 
-    descent_kwargs = {}
-    for key in [k for k in sections.get("descent", {}) if k in _DESCENT_KEYS]:
-        name = "include_cauchy_riemann" if key == "cauchy_riemann" else key
-        descent_kwargs[name] = entry("descent", key, _DESCENT_KEYS[key])
+    # each key is read by its field's type, and DescentConfig validates the
+    # copy; in field order, so tau_min is checked against the run's tau_init
+    descent = DescentConfig()
+    for f in fields(DescentConfig):
+        if f.name in sections.get("descent", {}):
+            descent = entry("descent", f.name, lambda text: replace(
+                descent, **{f.name: f.type(text)}))
+    entry("descent", "cauchy_riemann", _checked(
+        _bool, lambda on: not on, "the Cauchy-Riemann augmentation needs a "
+        "two-dimensional design space"), default="false")
 
     config = RunConfig(
         t_final=t_final, interfaces=interfaces, motion_name=motion_name,
         phase_sigma=phase_laws["sigma"], phase_nu=phase_laws["nu"],
         source_expr=source_expr, n_x=n_x, n_t=n_t,
-        objective_expr=objective_expr, descent=DescentConfig(**descent_kwargs),
+        objective_expr=objective_expr, descent=descent,
         output_dir=entry("output", "directory", str, default="out"),
         vtk=entry("output", "vtk", _bool, default="false"),
         csv_name=entry("output", "csv", str, default="history.csv"),

@@ -30,7 +30,6 @@ class DerivativeDensities:
     g0: np.ndarray
     g1: np.ndarray
     spatial_mesh: object
-    metadata: dict
 
     def pairing(self, theta):
         """Exact integral of g0 . theta + g1 theta' for P1 nodal theta."""
@@ -113,9 +112,7 @@ def pde_volume_densities(mesh, layout, u, p, source, objective):
 
     return DerivativeDensities(
         g0=_trajectory_integral(jets, dt, s0),
-        g1=_trajectory_integral(jets, dt, s1), spatial_mesh=sm,
-        metadata={"functional": "pde_objective",
-                  "time_rule": "trapezoid on slab boundaries and crossings"})
+        g1=_trajectory_integral(jets, dt, s1), spatial_mesh=sm)
 
 
 def pde_surface_derivative(mesh, layout, u, p):
@@ -129,7 +126,7 @@ def pde_surface_derivative(mesh, layout, u, p):
     _, u_t, u_x, _, _ = _element_planes(mesh, u.nodal())
     p0, p_t, p_x, t0, x0 = _element_planes(mesh, p.nodal())
     nu = _reluctivity_arrays(element_geometry(mesh, layout), np.abs(u_x))[0]
-    mat_in, mat_out = layout.material(1), layout.material(2)
+    mat_in, mat_out = layout.materials[1], layout.materials[2]
     sigma_jump = mat_out.sigma - mat_in.sigma
     inv_nu_jump = 1.0 / mat_out.nu.value - 1.0 / mat_in.nu.value
 
@@ -177,9 +174,7 @@ def magnetization_supplement(mesh, magnetization_grad, p, element_mask):
         # theta' has no coefficient: g1 stays zero.
         s0 = -magnetization_grad(t_eval, x_eval) * jets.G * p_x[e_eval]
         g0[active] = _trajectory_integral(jets, dt, s0)
-    return DerivativeDensities(
-        g0=g0, g1=g1, spatial_mesh=sm,
-        metadata={"functional": "magnetization_supplement"})
+    return DerivativeDensities(g0=g0, g1=g1, spatial_mesh=sm)
 
 
 def academic_objective(mesh, f):

@@ -468,11 +468,12 @@ def _derivative_integrand(jets, sigma, nu, nu_prime, u_t, u_x, ju, f, grad_f,
     return s0, s1
 
 
-def _element_rule(mesh, layout, u, source, spatial_mesh, theta, j, test):
+def _element_rule(mesh, layout, u, source, theta, j, test):
     """Weighted shape-derivative integrand at the element quadrature points
     (axis 1) for P1 test functions given by their vertex values test
     (n_e or 1, 3, k); j is the objective integrand."""
     geom = element_geometry(mesh, layout)
+    spatial_mesh = mesh.spatial_mesh()
     ue = u.nodal()[mesh.elements]
     u_t, u_x = _slope(ue, geom.grad_t), _slope(ue, geom.grad_x)
     nu, nu_prime = _reluctivity_arrays(geom, np.abs(u_x))
@@ -488,30 +489,29 @@ def _element_rule(mesh, layout, u, source, spatial_mesh, theta, j, test):
                      + s1 * spatial_mesh.interpolate_gradient(theta, xi))
 
 
-def tangent_rhs(mesh, layout, u, source, spatial_mesh, theta):
+def tangent_rhs(mesh, layout, u, source, theta):
     """Right-hand side of the tangent (material-derivative) problem for the
     spatial design velocity theta: the derivative integrand without j(u),
     tested with every P1 basis function."""
-    rule = _element_rule(mesh, layout, u, source, spatial_mesh, theta,
-                         np.zeros_like, np.eye(3)[None])
+    rule = _element_rule(mesh, layout, u, source, theta, np.zeros_like,
+                         np.eye(3)[None])
     return _scatter_vector(mesh, u.dofmap, -np.sum(rule, axis=1))
 
 
-def volume_form_pairing(mesh, layout, u, p, source, objective, spatial_mesh,
-                        theta):
+def volume_form_pairing(mesh, layout, u, p, source, objective, theta):
     """Shape derivative J'(theta) evaluated with the element quadrature:
     the derivative integrand tested with the adjoint p.  Same volume form
     as the trajectory densities, different quadrature."""
     test = p.nodal()[mesh.elements][..., None]
-    return float(np.sum(_element_rule(mesh, layout, u, source, spatial_mesh,
-                                      theta, objective.j, test)))
+    return float(np.sum(_element_rule(mesh, layout, u, source, theta,
+                                      objective.j, test)))
 
 
-def solve_tangent(mesh, layout, u, source, spatial_mesh, theta):
+def solve_tangent(mesh, layout, u, source, theta):
     """Material derivative of the state with respect to the design velocity
     theta; the right side is linear in theta."""
     system = LinearSystem(assemble_state_jacobian(mesh, layout, u))
-    rhs = tangent_rhs(mesh, layout, u, source, spatial_mesh, theta)
+    rhs = tangent_rhs(mesh, layout, u, source, theta)
     return Field(u.dofmap, system.solve(rhs))
 
 

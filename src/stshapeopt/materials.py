@@ -108,11 +108,6 @@ class ReluctivityCurve:
         return np.where(small, limit, ratio)
 
 
-def reluctivity(s, law):
-    """Evaluate (nu(s), nu'(s)) for a constant or curve law."""
-    return law.eval(s)
-
-
 @dataclass(frozen=True)
 class PhaseMaterial:
     sigma: float
@@ -128,9 +123,6 @@ class PhaseLayout:
     """Immutable map from mesh phase label to material."""
 
     materials: dict
-
-    def material(self, phase):
-        return self.materials[phase]
 
     def sigma(self, phases):
         out = np.empty(len(phases))
@@ -153,8 +145,7 @@ def arkkio_q(x):
     return np.array([[x[0] * x[1], off], [off, -x[0] * x[1]]]) / r
 
 
-def arkkio_torque(points, triangles, u, r_inner, r_outer, length, nu_air,
-                  period=1.0):
+def arkkio_torque(points, triangles, u, r_inner, r_outer, length, nu_air):
     """Average torque from a steady potential on a 2d triangulated annulus.
 
     Integrates Q grad u . grad u over the elements whose centroid lies in the

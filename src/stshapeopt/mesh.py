@@ -72,12 +72,10 @@ class SpaceTimeMesh:
     vertices: np.ndarray       # (n_v, 2) -> (t, x)
     elements: np.ndarray       # (n_e, 3) vertex indices, positive orientation
     phases: np.ndarray         # (n_e,) phase label
-    ref_xi: np.ndarray         # (n_v,) reference spatial coordinate
     column: np.ndarray         # (n_v,) spatial node index
     row: np.ndarray            # (n_v,) time level index
     xi_nodes: np.ndarray       # (n_x + 1,) reference spatial grid
     t_grid: np.ndarray         # (n_t + 1,)
-    periodic_pairs: np.ndarray  # (n_x + 1, 2) bottom/top vertex indices
     motion: object
 
     @property
@@ -109,13 +107,10 @@ class SpaceTimeMesh:
         mask[self.column == self.n_x] = True
         return mask
 
+    @cached_property
     def signed_areas(self):
         """Element areas, positive for the stored orientation; computed
         once per mesh and read-only."""
-        return self._signed_areas
-
-    @cached_property
-    def _signed_areas(self):
         t, x = _element_coordinates(self)
         area = 0.5 * ((t[:, 1] - t[:, 0]) * (x[:, 2] - x[:, 0])
                       - (x[:, 1] - x[:, 0]) * (t[:, 2] - t[:, 0]))
@@ -158,7 +153,7 @@ def mesh_geometry(mesh):
     the strided ``vertices[elements]``; the quadrature points sum vertex by
     vertex, left to right, as ``einsum("qi,eid->eqd", NQ, ...)`` does.
     """
-    area = mesh.signed_areas()
+    area = mesh.signed_areas
     t, x = _element_coordinates(mesh)
     # grad N_i = rotate(v_{i+1} - v_{i+2}) / (2A) in (t, x) coordinates
     two_a = 2.0 * area[:, None]
@@ -220,9 +215,8 @@ def generate_mesh(n_x, n_t, interfaces, motion, t_final=1.0):
     t_grid = np.linspace(0.0, float(t_final), n_t + 1)
 
     row, column = np.divmod(np.arange((n_t + 1) * (n_x + 1)), n_x + 1)
-    ref = xi[column]
     t_v = t_grid[row]
-    x_v = motion.forward(t_v, ref[:, None])[:, 0]
+    x_v = motion.forward(t_v, xi[column][:, None])[:, 0]
     vertices = np.column_stack([t_v, x_v])
 
     centroids = 0.5 * (xi[:-1] + xi[1:])
@@ -241,13 +235,10 @@ def generate_mesh(n_x, n_t, interfaces, motion, t_final=1.0):
     elements = np.stack([first, second], axis=1).reshape(-1, 3)
     phases = np.repeat(cell_phase[i], 2)
 
-    pairs = np.column_stack([np.arange(n_x + 1),
-                             n_t * (n_x + 1) + np.arange(n_x + 1)])
-
     mesh = SpaceTimeMesh(vertices=vertices, elements=elements, phases=phases,
-                         ref_xi=ref, column=column, row=row, xi_nodes=xi,
-                         t_grid=t_grid, periodic_pairs=pairs, motion=motion)
-    if np.any(mesh.signed_areas() <= 0.0):
+                         column=column, row=row, xi_nodes=xi, t_grid=t_grid,
+                         motion=motion)
+    if np.any(mesh.signed_areas <= 0.0):
         raise GeometryError("generated mesh has non-positive element areas")
     return mesh
 
@@ -266,12 +257,11 @@ def deform_mesh(mesh, theta, tau):
     new_xi_nodes = mesh.xi_nodes + tau * theta
     if np.any(new_xi_nodes[[0, -1]] != mesh.xi_nodes[[0, -1]]):
         raise GeometryError("deformation moves the design boundary")
-    new_ref = new_xi_nodes[mesh.column]
     t_v = mesh.vertices[:, 0]
-    x_v = mesh.motion.forward(t_v, new_ref[:, None])[:, 0]
+    x_v = mesh.motion.forward(t_v, new_xi_nodes[mesh.column][:, None])[:, 0]
     new = replace(mesh, vertices=np.column_stack([t_v, x_v]),
-                  ref_xi=new_ref, xi_nodes=new_xi_nodes)
-    if np.any(new.signed_areas() <= 0.0):
+                  xi_nodes=new_xi_nodes)
+    if np.any(new.signed_areas <= 0.0):
         raise InvertedElementError(
             f"deformation with step {tau} inverts an element")
     return new
@@ -363,12 +353,3 @@ def trajectory_intervals(mesh, x0_points):
     elements[:, 0::2] = base
     elements[:, 1::2] = base + 1
     return elements, t_nodes
-
-
-def vertical_line_elements(mesh, x0):
-    """Ordered (element, (t_start, t_end)) pairs covering the trajectory of
-    the single reference point x0."""
-    elements, t_nodes = trajectory_intervals(mesh, np.array([float(x0)]))
-    return [(int(elements[0, k]), (float(t_nodes[0, k]),
-                                   float(t_nodes[0, k + 1])))
-            for k in range(elements.shape[1])]

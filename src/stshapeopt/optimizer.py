@@ -11,7 +11,8 @@ quantity.
 """
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,7 +30,6 @@ HISTORY_HEADER = ("iter", "J", "theta_norm", "tau", "newton_iters")
 class DescentConfig:
     alpha: float = 0.5
     beta: float = 0.0
-    include_cauchy_riemann: bool = False
     tau_init: float = 1.0
     tau_min: float = 1e-10
     theta_tol: float = 1e-9
@@ -37,6 +37,14 @@ class DescentConfig:
     max_halvings: int = 60
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not math.isfinite(value):
+                raise ConfigError(f"descent {f.name} must be finite, "
+                                  f"got {value}")
+            if f.type is int and value < 0:
+                raise ConfigError(f"descent {f.name} must be >= 0, "
+                                  f"got {value}")
         if self.alpha <= 0.0:
             raise ConfigError(f"descent weight alpha must be positive, "
                               f"got {self.alpha}")
@@ -45,9 +53,6 @@ class DescentConfig:
                               f"got {self.beta}")
         if not self.tau_min < self.tau_init:
             raise ConfigError("descent needs tau_min < tau_init")
-        if self.include_cauchy_riemann:
-            raise ConfigError("the Cauchy-Riemann augmentation needs a "
-                              "two-dimensional design space")
 
 
 @dataclass
@@ -80,17 +85,17 @@ def _inner_product_matrix(spatial_mesh, config):
     return sp.diags([off, main, off], offsets=[-1, 0, 1], format="csc")
 
 
-def hilbertian_direction(spatial_mesh, densities, config):
-    """Solve b(theta, eta) = J'(eta) and return (-theta, sqrt(b(theta,
-    theta))); the returned direction makes the pairing nonpositive by
-    construction."""
-    n = len(spatial_mesh.nodes)
-    h = spatial_mesh.widths
+def hilbertian_direction(densities, config):
+    """Solve b(theta, eta) = J'(eta) on the densities' spatial mesh and
+    return (-theta, sqrt(b(theta, theta))); the returned direction makes
+    the pairing nonpositive by construction."""
+    h = densities.spatial_mesh.widths
+    n = len(h) + 1
     load = np.zeros(n)
     load[:-1] += 0.5 * h * densities.g0 - densities.g1
     load[1:] += 0.5 * h * densities.g0 + densities.g1
 
-    matrix = _inner_product_matrix(spatial_mesh, config)
+    matrix = _inner_product_matrix(densities.spatial_mesh, config)
     interior = slice(1, n - 1)
     theta = np.zeros(n)
     theta[interior] = spla.spsolve(matrix[interior, interior],
@@ -161,8 +166,7 @@ def optimize(mesh, layout, source, objective, config, callback=None):
         state.system = None
         densities = pde_volume_densities(mesh, layout, state.u, adjoint,
                                          source, objective)
-        direction, norm = hilbertian_direction(mesh.spatial_mesh(),
-                                               densities, config)
+        direction, norm = hilbertian_direction(densities, config)
         # by construction the pairing equals -b(theta, theta)
         pairing = densities.pairing(direction)
         bound = 1e-12 * (abs(j_value) + 1.0)

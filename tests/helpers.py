@@ -58,6 +58,12 @@ def identity_problem(n_x, n_t=None):
     return mesh, layout, source, objective_u()
 
 
+def periodic_pairs(mesh):
+    """(n_x + 1, 2) bottom and top vertex ids that share a reference node."""
+    return np.column_stack([np.flatnonzero(mesh.row == 0),
+                            np.flatnonzero(mesh.row == mesh.n_t)])
+
+
 def theta_bump(spatial_mesh):
     """Smooth asymmetric design velocity vanishing at the design boundary."""
     x = spatial_mesh.nodes
@@ -160,7 +166,7 @@ def direct_volume_pairing(mesh, layout, u, p, source, objective, theta):
             for t in (ta, tb):
                 x_pt = motion.forward(t, np.array([xi_c]))
                 det = abs(motion.det(t, np.array([xi_c])))
-                mat = layout.material(mesh.phases[elem])
+                mat = layout.materials[mesh.phases[elem]]
                 nu, nu_prime = mat.nu.eval(abs(u_x[elem]))
                 u_val = u0[elem] + u_t[elem] * (t - t0[elem]) \
                     + u_x[elem] * (x_pt[0] - x0[elem])
@@ -217,7 +223,7 @@ def direct_element_pairing(mesh, layout, u, p, source, objective, theta):
     for elem, corners in enumerate(mesh.vertices[mesh.elements]):
         d1, d2 = corners[1] - corners[0], corners[2] - corners[0]
         weight = 0.5 * (d1[0] * d2[1] - d1[1] * d2[0]) / 3.0
-        mat = layout.material(mesh.phases[elem])
+        mat = layout.materials[mesh.phases[elem]]
         nu, nu_prime = mat.nu.eval(abs(u_x[elem]))
         for t, x in NQ @ corners:
             x_pt = np.array([x])

@@ -29,7 +29,7 @@ import numpy as np
 
 from helpers import (gauss_rule, identity_problem, moving_interface_problem,
                      nonlinear_problem, objective_u, observed_orders,
-                     theta_bump)
+                     periodic_pairs, theta_bump)
 from reference_solver import reference_limit, reference_optimum
 import test_kernels as kernel_checks
 from test_derivative import periodic_wobble_motion
@@ -160,7 +160,7 @@ def test_criterion_2_gradient_correctness():
         sm = mesh.spatial_mesh()
         theta = theta_bump(sm)
         value = volume_form_pairing(mesh, layout, state.u, adjoint, source,
-                                    objective, sm, theta)
+                                    objective, theta)
         # Without motion the discrete derivative has no O(h) defect, so a
         # central difference converges at second order there.  A one-sided
         # order tends to exactly 1, where roundoff would decide the clause.
@@ -358,7 +358,7 @@ def test_criterion_6_structural_identities():
     # periodic identification invariants
     motion = Polynomial1D()
     mesh = generate_mesh(24, 24, (0.4, 0.6), motion)
-    b, tops = mesh.periodic_pairs[:, 0], mesh.periodic_pairs[:, 1]
+    b, tops = periodic_pairs(mesh).T
     moved = motion.forward(np.ones(len(b)), mesh.vertices[b, 1][:, None])[:, 0]
     pairing_ok = np.max(np.abs(mesh.vertices[tops, 1] - moved)) < 1e-12
     layout = PhaseLayout({1: PhaseMaterial(10.0, ConstantReluctivity(1.0)),

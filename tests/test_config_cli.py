@@ -1,4 +1,5 @@
 import csv
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -9,6 +10,10 @@ from stshapeopt import cli, expressions
 from stshapeopt.cli import main, observed_order
 from stshapeopt.config import load_config, parse_config
 from stshapeopt.errors import ConfigError
+from stshapeopt.optimizer import DescentConfig
+
+CONFIG_FORMAT = Path(__file__).resolve().parents[1] / "docs" \
+    / "config_format.md"
 
 BENCHMARK_CFG = """
 # moving-interface benchmark
@@ -74,7 +79,7 @@ def test_parse_round_trip(tmp_path):
     assert cfg.gradient_check_eps == [1e-2, 1e-3, 1e-4]
     mesh, layout, source, objective = cfg.build()
     assert mesh.n_elements == 2 * 20 * 20
-    assert layout.material(1).sigma == 10.0
+    assert layout.materials[1].sigma == 10.0
 
 
 def test_parse_reports_line_numbers():
@@ -97,6 +102,14 @@ MINIMAL_MATERIALS = ("[materials]\nphase 1 sigma = 1\n"
     ("interfaces = 0.4 0.6", "interfaces = 0.4 1.5"),
     ("interfaces = 0.4 0.6", "interfaces = 0.4 nan"),
     ("phase 1 sigma = 10.0", "phase 1 sigma = nan"),
+    ("alpha = 0.5", "alpha = 0"),
+    ("alpha = 0.5", "alpha = nan"),
+    ("alpha = 0.5", "alpha = inf"),
+    ("beta = 0.0", "beta = -1"),
+    ("max_outer = 2", "max_outer = -3"),
+    ("theta_tol = 1e-9", "max_halvings = -1"),
+    ("theta_tol = 1e-9", "tau_min = 1000"),
+    ("theta_tol = 1e-9", "cauchy_riemann = true"),
 ])
 def test_bad_value_is_a_config_error_at_its_line(tmp_path, old, new):
     path = write_cfg(tmp_path)
@@ -107,6 +120,31 @@ def test_bad_value_is_a_config_error_at_its_line(tmp_path, old, new):
         load_config(path)
     assert info.value.line == line
     assert main(["solve", "--config", str(path)]) == 2
+
+
+def test_descent_tau_rule_holds_in_either_key_order():
+    for keys in ("tau_min = 5\ntau_init = 100\n",
+                 "tau_init = 100\ntau_min = 5\n"):
+        descent = parse_config("[problem]\ninterfaces = 0.5\n"
+                               + MINIMAL_MATERIALS + "[descent]\n"
+                               + keys).descent
+        assert (descent.tau_init, descent.tau_min) == (100.0, 5.0)
+
+
+def test_documented_descent_keys_are_the_accepted_ones():
+    table = CONFIG_FORMAT.read_text().split("### `[descent]`")[1] \
+        .split("###")[0]
+    rows = [[cell.strip().strip("`") for cell in line.split("|")[1:-1]]
+            for line in table.splitlines() if line.startswith("| `")]
+    documented = {row[0]: row[-1] for row in rows}
+    assert set(documented) \
+        == {f.name for f in fields(DescentConfig)} | {"cauchy_riemann"}
+    # every documented default parses, to the defaults the code runs with
+    cfg = parse_config("[problem]\ninterfaces = 0.5\n" + MINIMAL_MATERIALS
+                       + "[descent]\n" + "".join(
+                           f"{key} = {value}\n"
+                           for key, value in documented.items()))
+    assert cfg.descent == DescentConfig()
 
 
 def test_unknown_section_and_key_rejected():

@@ -195,7 +195,7 @@ def test_densities_agree_with_element_rule_pairing_under_refinement():
         a = pde_volume_densities(mesh, layout, state.u, p, source,
                                  objective).pairing(theta)
         b = volume_form_pairing(mesh, layout, state.u, p, source, objective,
-                                sm, theta)
+                                theta)
         rel.append(abs(a - b) / abs(b))
     assert rel[1] < 0.35 * rel[0]    # second-order gap between quadratures
     assert rel[1] < 2e-2
@@ -213,7 +213,7 @@ def test_adjoint_derivative_matches_shape_fd(builder, n, best_tol):
     sm = mesh.spatial_mesh()
     theta = theta_bump(sm)
     adjoint_value = volume_form_pairing(mesh, layout, state.u, p, source,
-                                        objective, sm, theta)
+                                        objective, theta)
     eps_values = (1e-2, 1e-3, 1e-4, 1e-5)
     errors = []
     for eps in eps_values:
@@ -275,7 +275,7 @@ def test_surface_form_reads_the_elements_beside_each_interface_edge():
     p = solve_adjoint(mesh, layout, state.u, objective)
     iface = pde_surface_derivative(mesh, layout, state.u, p)
     u_nodal, p_nodal = state.u.nodal(), p.nodal()
-    mat_in, mat_out = layout.material(1), layout.material(2)
+    mat_in, mat_out = layout.materials[1], layout.materials[2]
     sigma_jump = mat_out.sigma - mat_in.sigma
     inv_nu_jump = 1.0 / mat_out.nu.value - 1.0 / mat_in.nu.value
 
@@ -299,12 +299,12 @@ def test_surface_form_reads_the_elements_beside_each_interface_edge():
             for v in ends:
                 t = mesh.vertices[v, 0]
                 jet = jet1d(mesh.motion, np.array([t]),
-                            np.array([mesh.ref_xi[v]]))
+                            np.array([mesh.xi_nodes[mesh.column[v]]]))
                 dudt, fluxprod = [], []
                 for _, e in sides:
                     u_t, u_x = plane_slopes(e, u_nodal)
                     _, p_x = plane_slopes(e, p_nodal)
-                    nu = layout.material(mesh.phases[e]).nu.value
+                    nu = layout.materials[mesh.phases[e]].nu.value
                     dudt.append((u_t + jet.vhat[0] * u_x) * p_nodal[v])
                     fluxprod.append(nu * u_x * nu * p_x)
                 total += 0.5 * (mesh.t_grid[j + 1] - mesh.t_grid[j]) \

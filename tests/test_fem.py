@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 from helpers import (J0_LIMIT, coo_jacobian, direct_element_pairing,
                      gauss_rule, identity_problem, moving_interface_problem,
                      nonlinear_problem, objective_u, observed_orders,
-                     same_csc, theta_bump)
+                     periodic_pairs, same_csc, theta_bump)
 from stshapeopt import (CallableSource, ConstantReluctivity, Identity,
                         PhaseLayout, PhaseMaterial, Polynomial1D,
                         ReluctivityCurve, assemble_state_jacobian,
@@ -167,7 +167,7 @@ def test_field_respects_periodic_and_dirichlet_invariants():
     u = solve_state(mesh, layout, source).u
     nodal = u.nodal()
     assert np.all(nodal[mesh.lateral_vertex_mask()] == 0.0)
-    b, t = mesh.periodic_pairs[:, 0], mesh.periodic_pairs[:, 1]
+    b, t = periodic_pairs(mesh).T
     assert np.all(nodal[b] == nodal[t])
 
 
@@ -539,11 +539,11 @@ def test_tangent_zero_direction_and_linearity():
     mesh, layout, source, _ = moving_interface_problem(8)
     u = solve_state(mesh, layout, source).u
     sm = mesh.spatial_mesh()
-    zero = solve_tangent(mesh, layout, u, source, sm, np.zeros(9))
+    zero = solve_tangent(mesh, layout, u, source, np.zeros(9))
     assert np.all(zero.values == 0.0)
     theta = theta_bump(sm)
-    one = solve_tangent(mesh, layout, u, source, sm, theta)
-    three = solve_tangent(mesh, layout, u, source, sm, 3.0 * theta)
+    one = solve_tangent(mesh, layout, u, source, theta)
+    three = solve_tangent(mesh, layout, u, source, 3.0 * theta)
     assert np.max(np.abs(three.values - 3.0 * one.values)) \
         < 1e-12 * np.max(np.abs(one.values) + 1.0)
 
@@ -553,7 +553,7 @@ def test_tangent_matches_shape_finite_difference():
     base = solve_state(mesh, layout, source)
     sm = mesh.spatial_mesh()
     theta = theta_bump(sm)
-    tangent = solve_tangent(mesh, layout, base.u, source, sm, theta)
+    tangent = solve_tangent(mesh, layout, base.u, source, theta)
     scale = np.linalg.norm(tangent.values)
     errors = []
     for eps in (1e-2, 1e-3):
@@ -575,9 +575,9 @@ def test_adjoint_tangent_duality_is_exact(problem):
     p = solve_adjoint(mesh, layout, u, objective)
     sm = mesh.spatial_mesh()
     theta = theta_bump(sm)
-    udot = solve_tangent(mesh, layout, u, source, sm, theta)
+    udot = solve_tangent(mesh, layout, u, source, theta)
     lhs = objective_gradient_vector(mesh, u, objective) @ udot.values
-    rhs = -(p.values @ tangent_rhs(mesh, layout, u, source, sm, theta))
+    rhs = -(p.values @ tangent_rhs(mesh, layout, u, source, theta))
     assert abs(lhs - rhs) < 1e-8 * (abs(lhs) + 1e-12)
 
 
@@ -594,9 +594,9 @@ def test_element_rule_matches_direct_kernel_evaluation(problem):
                                     theta)
     m_term = direct_element_pairing(mesh, layout, u, Field.zeros(u.dofmap),
                                     source, objective, theta)
-    pairing = volume_form_pairing(mesh, layout, u, p, source, objective, sm,
+    pairing = volume_form_pairing(mesh, layout, u, p, source, objective,
                                   theta)
-    rhs = tangent_rhs(mesh, layout, u, source, sm, theta)
+    rhs = tangent_rhs(mesh, layout, u, source, theta)
     assert abs(pairing - direct) <= 1e-10 * abs(direct)
     assert abs(m_term - p.values @ rhs - direct) <= 1e-10 * abs(direct)
 

@@ -3,8 +3,7 @@ import pytest
 
 from helpers import annulus_mesh, gauss_rule
 from stshapeopt import (ConstantReluctivity, PhaseLayout, PhaseMaterial,
-                        ReluctivityCurve, arkkio_q, arkkio_torque,
-                        reluctivity)
+                        ReluctivityCurve, arkkio_q, arkkio_torque)
 from stshapeopt.errors import GeometryError
 
 # ferromagnetic curve of the motor benchmark
@@ -15,13 +14,13 @@ RNG = np.random.default_rng(11)
 
 
 def test_curve_at_zero():
-    nu, nu_prime = reluctivity(0.0, CURVE)
+    nu, nu_prime = CURVE.eval(0.0)
     assert nu == 200.0
     assert nu_prime == 0.0
 
 
 def test_constant_law():
-    nu, nu_prime = reluctivity(37.5, ConstantReluctivity(1.0))
+    nu, nu_prime = ConstantReluctivity(1.0).eval(37.5)
     assert nu == 1.0 and nu_prime == 0.0
 
 
@@ -83,9 +82,9 @@ def test_prime_over_s_guard_near_zero():
 
 def test_law_validation():
     with pytest.raises(ValueError):
-        reluctivity(-1.0, CURVE)
+        CURVE.eval(-1.0)
     with pytest.raises(ValueError):
-        reluctivity(np.inf, CURVE)
+        CURVE.eval(np.inf)
     with pytest.raises(ValueError):
         ReluctivityCurve(nu_a=1.0, c1=2.0, c2=0.1, c3=6.0)
     with pytest.raises(ValueError):

@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import moving_interface_problem, theta_bump
+from helpers import moving_interface_problem, periodic_pairs, theta_bump
 from stshapeopt import (ConstantReluctivity, CustomMotion, Identity,
                         PhaseLayout, PhaseMaterial, Polynomial1D, deform_mesh,
                         generate_mesh, pde_volume_densities, solve_adjoint,
-                        solve_state, vertical_line_elements)
+                        solve_state)
 from stshapeopt.errors import GeometryError, InvertedElementError
 from stshapeopt.fem import element_geometry
 from stshapeopt.mesh import NQ, mesh_geometry, trajectory_intervals
@@ -17,8 +17,8 @@ def test_structured_counts_and_phases_identity():
     mesh = generate_mesh(10, 4, (0.4, 0.6), Identity(dim=1))
     assert mesh.n_vertices == 11 * 5
     assert mesh.n_elements == 2 * 10 * 4
-    assert len(mesh.periodic_pairs) == 11
-    assert np.all(mesh.signed_areas() > 0.0)
+    assert len(periodic_pairs(mesh)) == 11
+    assert np.all(mesh.signed_areas > 0.0)
     sm = mesh.spatial_mesh()
     inside = (sm.centroids > 0.4) & (sm.centroids < 0.6)
     assert np.all(sm.phases[inside] == 1)
@@ -37,9 +37,10 @@ def test_vertex_and_pair_invariants():
     motion = Polynomial1D()
     mesh = generate_mesh(12, 6, (0.4, 0.6), motion)
     # every vertex satisfies x = phi_t(xi)
-    x = motion.forward(mesh.vertices[:, 0], mesh.ref_xi[:, None])[:, 0]
+    x = motion.forward(mesh.vertices[:, 0],
+                       mesh.xi_nodes[mesh.column][:, None])[:, 0]
     assert np.max(np.abs(x - mesh.vertices[:, 1])) < 1e-12
-    b, tup = mesh.periodic_pairs[:, 0], mesh.periodic_pairs[:, 1]
+    b, tup = periodic_pairs(mesh).T
     assert np.all(mesh.vertices[b, 0] == 0.0)
     assert np.all(mesh.vertices[tup, 0] == mesh.t_final)
     moved = motion.forward(np.full(len(b), mesh.t_final),
@@ -74,7 +75,7 @@ def test_deform_constant_interior_shift_identity_motion():
     assert np.allclose(new.vertices[interior, 1]
                        - mesh.vertices[interior, 1], 0.03)
     assert np.array_equal(new.phases, mesh.phases)
-    assert np.array_equal(new.periodic_pairs, mesh.periodic_pairs)
+    assert np.array_equal(periodic_pairs(new), periodic_pairs(mesh))
 
 
 def test_deform_polynomial_vertex_formula():
@@ -84,7 +85,7 @@ def test_deform_polynomial_vertex_formula():
     tau = 0.05
     new = deform_mesh(mesh, theta, tau)
     v = mesh.vertex_id(3, 4)            # interior vertex, t = 3/4
-    xi0 = mesh.ref_xi[v]
+    xi0 = mesh.xi_nodes[mesh.column[v]]
     expected = motion.forward(mesh.vertices[v, 0],
                               np.array([xi0 + tau * np.sin(np.pi * xi0)]))[0]
     assert abs(new.vertices[v, 1] - expected) < 1e-14
@@ -120,24 +121,21 @@ def test_deformation_that_moves_the_design_boundary_raises(end):
 
 def test_vertical_line_crosses_two_triangles_per_slab():
     mesh = generate_mesh(10, 6, (0.4, 0.6), Identity(dim=1))
-    segments = vertical_line_elements(mesh, 0.512)
-    assert len(segments) == 2 * 6
-    times = [s[1] for s in segments]
-    assert times[0][0] == 0.0 and times[-1][1] == mesh.t_final
-    for (_, (a0, a1)), (_, (b0, b1)) in zip(segments[:-1], segments[1:]):
-        assert a1 == b0
-        assert a1 >= a0
+    els, t_nodes = trajectory_intervals(mesh, np.array([0.512]))
+    assert els.shape == (1, 2 * 6)
+    assert t_nodes[0, 0] == 0.0 and t_nodes[0, -1] == mesh.t_final
+    assert np.all(np.diff(t_nodes[0]) >= 0.0)
 
 
 def test_vertical_line_polynomial_coverage_and_containment():
     motion = Polynomial1D()
     mesh = generate_mesh(10, 7, (0.4, 0.6), motion)
     x0 = 0.5
-    segments = vertical_line_elements(mesh, x0)
-    total = sum(b - a for _, (a, b) in segments)
+    els, t_nodes = trajectory_intervals(mesh, np.array([x0]))
+    total = np.sum(np.diff(t_nodes[0]))
     assert abs(total - mesh.t_final) < 1e-12
     # midpoint of each interval lies in the stated element (barycentric)
-    for elem, (a, b) in segments:
+    for elem, a, b in zip(els[0], t_nodes[0, :-1], t_nodes[0, 1:]):
         t_mid = 0.5 * (a + b)
         p = np.array([t_mid, motion.forward(t_mid, np.array([x0]))[0]])
         tri = mesh.vertices[mesh.elements[elem]]
@@ -149,12 +147,12 @@ def test_vertical_line_polynomial_coverage_and_containment():
 
 def test_vertical_line_boundary_nudge_and_exit():
     mesh = generate_mesh(10, 4, (0.4, 0.6), Identity(dim=1))
-    left = vertical_line_elements(mesh, 0.0)
-    assert len(left) == 8
-    right = vertical_line_elements(mesh, 1.0)
-    assert len(right) == 8
+    left, _ = trajectory_intervals(mesh, np.array([0.0]))
+    assert left.shape == (1, 8)
+    right, _ = trajectory_intervals(mesh, np.array([1.0]))
+    assert right.shape == (1, 8)
     with pytest.raises(GeometryError):
-        vertical_line_elements(mesh, 1.2)
+        trajectory_intervals(mesh, np.array([1.2]))
 
 
 def quadratic_in_t():
@@ -187,11 +185,9 @@ def test_trajectory_intervals_batch_matches_single():
     pts = np.array([0.17, 0.52, 0.83])
     els, t_nodes = trajectory_intervals(mesh, pts)
     for k, x0 in enumerate(pts):
-        single = vertical_line_elements(mesh, x0)
-        assert [e for e, _ in single] == list(els[k])
-        assert np.allclose([iv for _, iv in single],
-                           np.column_stack([t_nodes[k, :-1],
-                                            t_nodes[k, 1:]]))
+        single_els, single_t = trajectory_intervals(mesh, np.array([x0]))
+        assert np.array_equal(single_els[0], els[k])
+        assert np.allclose(single_t[0], t_nodes[k])
 
 
 def test_spatial_mesh_interfaces_and_interp():
@@ -291,7 +287,7 @@ def test_deformed_mesh_gets_fresh_geometry(monkeypatch):
     moved_geom = mesh_geometry(moved)
     back_geom = mesh_geometry(back)
     assert len(calls) == 3
-    assert np.array_equal(moved_geom.area, moved.signed_areas())
+    assert np.array_equal(moved_geom.area, moved.signed_areas)
     assert not np.allclose(moved_geom.area, base.area)
     assert back_geom is not base
     assert np.allclose(back_geom.qp_xi, base.qp_xi, rtol=0.0, atol=1e-14)
@@ -302,9 +298,9 @@ def test_areas_are_computed_once_per_mesh():
     mesh = generate_mesh(12, 6, (0.4, 0.6), Polynomial1D())
     moved = deform_mesh(mesh, np.sin(np.pi * mesh.xi_nodes), 0.05)
     for m in (mesh, moved):
-        assert m.signed_areas() is mesh_geometry(m).area
-        assert not m.signed_areas().flags.writeable
-    assert not np.array_equal(moved.signed_areas(), mesh.signed_areas())
+        assert m.signed_areas is mesh_geometry(m).area
+        assert not m.signed_areas.flags.writeable
+    assert not np.array_equal(moved.signed_areas, mesh.signed_areas)
 
 
 @pytest.mark.parametrize("motion", [Polynomial1D(), Identity(dim=1)],

@@ -6,7 +6,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from helpers import (PAPER_INTERFACES, coo_jacobian, identity_problem,
-                     moving_interface_problem, nonlinear_problem, same_csc)
+                     moving_interface_problem, nonlinear_problem,
+                     periodic_pairs, same_csc)
 from stshapeopt import (CustomMotion, Polynomial1D, Rotation2D, deform_mesh,
                         generate_mesh)
 from stshapeopt.derivative import pde_volume_densities
@@ -91,7 +92,7 @@ def test_periodic_dofmap_invariants(n_x, n_t):
     dof = dofmap.vertex_dof
     lateral = mesh.lateral_vertex_mask()
     assert np.all(dof[lateral] == -1)
-    bottom, top = mesh.periodic_pairs.T
+    bottom, top = periodic_pairs(mesh).T
     assert np.array_equal(dof[top], dof[bottom])
     assert np.array_equal(np.unique(dof[~lateral]), np.arange(dofmap.n_free))
 
@@ -116,12 +117,11 @@ def test_jacobian_equals_coo_assembly(data, problem, fraction, seed):
 @given(st.data())
 def test_adjoint_tangent_duality(data):
     mesh, layout, source, objective, u, p = solved(data)
-    sm = mesh.spatial_mesh()
     theta = design_velocity(data, mesh.n_x)
-    udot = solve_tangent(mesh, layout, u, source, sm, theta).values
+    udot = solve_tangent(mesh, layout, u, source, theta).values
     jprime = objective_gradient_vector(mesh, u, objective)
     lhs = jprime @ udot
-    rhs = -(p.values @ tangent_rhs(mesh, layout, u, source, sm, theta))
+    rhs = -(p.values @ tangent_rhs(mesh, layout, u, source, theta))
     assert abs(lhs - rhs) <= 1e-8 * (np.abs(jprime) @ np.abs(udot)) + 1e-30
 
 
@@ -129,14 +129,13 @@ def test_adjoint_tangent_duality(data):
 @given(st.data())
 def test_derivative_pairings_are_linear_in_theta(data):
     mesh, layout, source, objective, u, p = solved(data)
-    sm = mesh.spatial_mesh()
     t1 = design_velocity(data, mesh.n_x)
     t2 = design_velocity(data, mesh.n_x)
     a, b = data.draw(COEFFICIENTS), data.draw(COEFFICIENTS)
     densities = pde_volume_densities(mesh, layout, u, p, source, objective)
 
     def element_rule(theta):
-        return volume_form_pairing(mesh, layout, u, p, source, objective, sm,
+        return volume_form_pairing(mesh, layout, u, p, source, objective,
                                    theta)
 
     for pairing in (densities.pairing, element_rule):

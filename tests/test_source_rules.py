@@ -104,3 +104,23 @@ def test_only_linear_system_factors():
         if sites:
             found[path.name] = sites
     assert found == {"fem.py": [("LinearSystem", "__init__")]}
+
+
+def test_module_functions_read_every_parameter():
+    # a parameter the body never names is an input that changes nothing;
+    # methods are exempt, because the Motion subclasses share one signature
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args
+                      + args.kwonlyargs + [args.vararg, args.kwarg]
+                      if a is not None]
+            names = {n.id for statement in node.body
+                     for n in ast.walk(statement) if isinstance(n, ast.Name)}
+            found += [f"{path.name}:{node.name}.{p}" for p in params
+                      if p not in names]
+    assert found == []

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import load_config
+from .config import load_config, read_eps
 from .derivative import fd_objective_derivative
 from .errors import ConfigError, StshapeoptError
 from .fem import (evaluate_objective, solve_adjoint, solve_state,
@@ -72,7 +72,7 @@ def cmd_optimize(cfg, args):
     want_vtk = args.vtk or cfg.vtk
 
     def snapshot(n, ls_result):
-        write_vtk(out / f"iteration_{n:04d}.vtk", ls_result.mesh,
+        write_vtk(out / f"iteration_{n:04d}.vtk", ls_result.state.mesh,
                   point_data={"u": ls_result.state.u.nodal()})
 
     report = optimize(mesh, layout, source, objective, cfg.descent,
@@ -103,16 +103,14 @@ def observed_order(eps_values, errors):
 
 
 def cmd_check_gradient(cfg, args):
-    mesh, layout, source, objective = cfg.build()
     eps_values = cfg.gradient_check_eps
-    if args.eps:
-        eps_values = [float(w) for w in args.eps.split(",")]
+    if args.eps is not None:
+        eps_values = read_eps(args.eps.replace(",", " "))
     eps_values = sorted(eps_values, reverse=True)
+    mesh, layout, source, objective = cfg.build()
 
     state = solve_state(mesh, layout, source)
-    adjoint = solve_adjoint(mesh, layout, state.u, objective,
-                            factored=state.system)
-    state.system = None
+    adjoint = solve_adjoint(state, objective)
     theta = _theta_nodes(cfg, mesh.spatial_mesh())
     adjoint_value = volume_form_pairing(mesh, layout, state.u, adjoint,
                                         source, objective, theta)

@@ -142,7 +142,17 @@ def _mesh_arg(name, convert):
 
 
 def _floats(text):
-    return [float(w) for w in text.split()]
+    try:
+        return [float(w) for w in text.split()]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+# Gradient-check perturbation sizes, also read by `check-gradient --eps`.
+read_eps = _checked(
+    _floats, lambda eps: len(set(eps)) > 1
+    and all(0.0 < e < np.inf for e in eps),
+    "eps needs at least two distinct, finite, positive values")
 
 
 def _bool(text):
@@ -228,7 +238,7 @@ def parse_config(text):
         gradient_check_theta=entry("gradient_check", "theta",
                                    lambda t: Expression(t, ("x",)),
                                    default="sin(pi*x)"),
-        gradient_check_eps=entry("gradient_check", "eps", _floats,
+        gradient_check_eps=entry("gradient_check", "eps", read_eps,
                                  default="1e-2 1e-3 1e-4"))
     unknown = [(line, section, key) for section, keys in sections.items()
                for key, (_, line) in keys.items()]

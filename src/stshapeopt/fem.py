@@ -245,12 +245,7 @@ class LinearSystem:
     ``factored`` is an earlier LinearSystem whose factor is taken over when
     its matrix has the same CSC indptr, indices and data; any other matrix
     is factored afresh.  The matrix is copied, so changing the caller's
-    array afterwards changes neither the solves nor that comparison.
-
-    ``jacobian_of`` is the (mesh, layout) pair whose constant-law Jacobian
-    the matrix is, as set by ``solve_state``; None for any other matrix."""
-
-    jacobian_of = None
+    array afterwards changes neither the solves nor that comparison."""
 
     def __init__(self, matrix, factored=None):
         self.matrix = matrix = sp.csc_matrix(matrix, copy=True)
@@ -317,12 +312,15 @@ class NewtonOptions:
 
 @dataclass
 class SolveResult:
-    """State field and Newton history.  ``system`` is the last Newton
-    step's LinearSystem when every reluctivity law is constant, since only
-    then is its matrix the Jacobian at ``u``; otherwise it is None.  It
-    holds a whole LU factor, so drop it once the adjoint has used it."""
+    """State field on ``mesh`` and ``layout``, and the Newton history.
+    ``system`` is the last Newton step's LinearSystem when every
+    reluctivity law is constant, since only then is its matrix the
+    Jacobian at ``u``; otherwise it is None.  It holds a whole LU factor,
+    which ``solve_adjoint`` takes over and releases."""
 
     u: Field
+    mesh: object
+    layout: object
     iterations: int
     residual_norms: list = field(default_factory=list)
     system: LinearSystem = None
@@ -370,7 +368,8 @@ def solve_state(mesh, layout, source, newton=None, initial_guess=None):
     res_norm = np.linalg.norm(res)
     scale = max(scale, res_norm)
     if scale == 0.0:
-        return SolveResult(u=u, iterations=0, residual_norms=[0.0])
+        return SolveResult(u=u, mesh=mesh, layout=layout, iterations=0,
+                           residual_norms=[0.0])
 
     norms = [res_norm]
     system = None
@@ -381,12 +380,8 @@ def solve_state(mesh, layout, source, newton=None, initial_guess=None):
                 f"Newton did not converge in {newton.max_iter} iterations "
                 f"(residual {res_norm:.3e})", residual=res_norm)
         system = None  # so that two factors are never alive at once
-        if layout.all_constant:
-            system = LinearSystem(matrix)
-            system.jacobian_of = (mesh, layout)
-        else:
-            system = LinearSystem(
-                _jacobian_matrix(mesh, geom, dofmap, u.nodal()))
+        system = LinearSystem(matrix if layout.all_constant else
+                              _jacobian_matrix(mesh, geom, dofmap, u.nodal()))
         delta = system.solve(-res)
         damping = 1.0
         while True:
@@ -402,7 +397,8 @@ def solve_state(mesh, layout, source, newton=None, initial_guess=None):
                 norms.append(res_norm)
                 break
             damping *= 0.5
-    return SolveResult(u=u, iterations=len(norms) - 1, residual_norms=norms,
+    return SolveResult(u=u, mesh=mesh, layout=layout,
+                       iterations=len(norms) - 1, residual_norms=norms,
                        system=system if layout.all_constant else None)
 
 
@@ -415,23 +411,20 @@ def objective_gradient_vector(mesh, u, objective):
     return _scatter_vector(mesh, u.dofmap, local)
 
 
-def solve_adjoint(mesh, layout, u, objective, factored=None):
-    """Adjoint field from the transposed state Jacobian at u, loaded with
-    the negative objective derivative.
+def solve_adjoint(state, objective):
+    """Adjoint field from the transposed state Jacobian at the SolveResult
+    ``state``, loaded with the negative objective derivative.
 
-    ``factored`` is an earlier LinearSystem, normally the ``system`` of the
-    SolveResult that gave u.  If every law is constant and ``factored``
-    comes from ``solve_state`` on this same mesh and layout object, its
-    matrix is this u-independent Jacobian and nothing is assembled;
-    otherwise the factor is reused only if the assembled Jacobian equals
-    its matrix entry for entry."""
-    origin = getattr(factored, "jacobian_of", None)
-    if layout.all_constant and origin is not None \
-            and origin[0] is mesh and origin[1] is layout:
-        matrix = factored.matrix
+    The adjoint takes over ``state.system`` and sets it to None, so no
+    factor outlives it: with a system, its matrix is the Jacobian and its
+    factor is reused; without one (a nonlinear law, or a second call) the
+    Jacobian is assembled and factored."""
+    mesh, u, system = state.mesh, state.u, state.system
+    state.system = None
+    if system is None:
+        system = LinearSystem(assemble_state_jacobian(mesh, state.layout, u))
     else:
-        matrix = assemble_state_jacobian(mesh, layout, u)
-    system = LinearSystem(matrix, factored=factored)
+        system = LinearSystem(system.matrix, factored=system)
     b = -objective_gradient_vector(mesh, u, objective)
     return Field(u.dofmap, system.solve_transpose(b))
 

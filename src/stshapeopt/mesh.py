@@ -27,6 +27,8 @@ NQ = np.array([[2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0],
 
 _EDGE_NUDGE = 1e-12
 _EXIT_TOL = 1e-10
+# Largest gap, in x, at which a chord step is taken as the crossing.
+_CHORD_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -272,9 +274,10 @@ def _diagonal_crossing_times(mesh, x0, cells):
     diagonals, one time per (point, slab).  Raises GeometryError when a
     trajectory does not cross its slab's diagonal.
 
-    When the motion is affine in t, so is the gap between trajectory and
-    diagonal in each slab, and one regula-falsi step from the gaps at the
-    slab ends is its root.  Any other motion is bisected 50 times."""
+    One regula-falsi step from the gaps between trajectory and diagonal at
+    the slab ends is the crossing when the gap at every step is within
+    roundoff of zero, as for a motion affine in t; otherwise the gaps are
+    bisected 50 times."""
     n_pts = len(x0)
     n_t = mesh.n_t
     n_x = mesh.n_x
@@ -309,9 +312,10 @@ def _diagonal_crossing_times(mesh, x0, cells):
     sign_lo = np.sign(gap_lo)
     if np.any(sign_lo * np.sign(gap_hi) > 0.0):
         raise GeometryError("trajectory does not cross a cell diagonal")
-    if mesh.motion.affine_in_t:
-        # opposite signs, so the denominator does not cancel
-        return lo + (hi - lo) * (gap_lo / (gap_lo - gap_hi))
+    # opposite signs, so the denominator does not cancel
+    chord = lo + (hi - lo) * (gap_lo / (gap_lo - gap_hi))
+    if np.all(np.abs(gap(chord)) <= _CHORD_TOL):
+        return chord
     for _ in range(50):
         mid = 0.5 * (lo + hi)
         gm = gap(mid)

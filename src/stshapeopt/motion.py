@@ -14,9 +14,6 @@ against the batch shape.  Derivative conventions:
 
 ``velocity(t, y)`` is the Eulerian velocity at a point of the deformed
 configuration, i.e. ``dt(t, inverse(t, y))``.
-
-A class sets ``affine_in_t`` when ``forward(t, x)`` is affine in t for
-every x; the mesh then finds trajectory crossings in closed form.
 """
 
 import numpy as np
@@ -31,7 +28,6 @@ class Motion:
     """Base class of the motions; see the module docstring."""
 
     dim = None
-    affine_in_t = False
 
     def det(self, t, x):
         g = self.grad(t, x)
@@ -76,8 +72,6 @@ class Motion:
 
 
 class Identity(Motion):
-    affine_in_t = True
-
     def __init__(self, dim=1):
         self.dim = dim
 
@@ -177,7 +171,6 @@ class Polynomial1D(Motion):
     """phi_t(x) = x + t*x**2, strictly monotone on [0, 1] for t in [0, 1]."""
 
     dim = 1
-    affine_in_t = True
 
     def forward(self, t, x):
         x = np.asarray(x, dtype=float)

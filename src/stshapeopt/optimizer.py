@@ -107,7 +107,6 @@ def hilbertian_direction(densities, config):
 @dataclass
 class LineSearchResult:
     tau: float
-    mesh: object
     state: object
     objective_value: float
     trials: int
@@ -133,7 +132,7 @@ def line_search(mesh, layout, source, objective, state, j_current,
             continue
         j_trial = evaluate_objective(trial_mesh, trial.u, objective)
         if j_trial < j_current:
-            return LineSearchResult(tau=tau, mesh=trial_mesh, state=trial,
+            return LineSearchResult(tau=tau, state=trial,
                                     objective_value=j_trial,
                                     trials=trial_count + 1)
         # frees the rejected trial's factor before the next one is built
@@ -160,10 +159,7 @@ def optimize(mesh, layout, source, objective, config, callback=None):
     tau_prev = config.tau_init
 
     for n in range(config.max_outer):
-        adjoint = solve_adjoint(mesh, layout, state.u, objective,
-                                factored=state.system)
-        # no factor outlives the adjoint into the densities or line search
-        state.system = None
+        adjoint = solve_adjoint(state, objective)
         densities = pde_volume_densities(mesh, layout, state.u, adjoint,
                                          source, objective)
         direction, norm = hilbertian_direction(densities, config)
@@ -187,8 +183,8 @@ def optimize(mesh, layout, source, objective, config, callback=None):
                                        state.iterations))
         if callback is not None:
             callback(n, result)
-        mesh = result.mesh
         state = result.state
+        mesh = state.mesh
         j_value = result.objective_value
         tau_prev = result.tau
     else:

@@ -94,6 +94,52 @@ def same_csc(a, b):
 
 
 # ---------------------------------------------------------------------------
+# crossing-time oracles for trajectory_intervals
+
+
+def _diagonal_gap(mesh, x0):
+    """Gap between each trajectory t -> phi_t(x0[p]) and the diagonal of its
+    cell in slab j, as a function of the (n_pts, n_t) times, and the slab
+    ends.  The diagonal is the edge shared by the cell's two elements of
+    the slab, lower (bottom) vertex first.  A point on an interior node is
+    followed 1e-12 to its right, as trajectory_intervals does."""
+    on_node = np.isclose(x0[:, None], mesh.xi_nodes[None, 1:-1], rtol=0.0,
+                         atol=1e-12).any(axis=1)
+    x0 = np.where(on_node, x0 + 1e-12, x0)
+    cells = np.searchsorted(mesh.xi_nodes, x0) - 1
+    first = 2 * (np.arange(mesh.n_t)[None, :] * mesh.n_x + cells[:, None])
+    one, two = mesh.elements[first], mesh.elements[first + 1]
+    shared = (one[..., :, None] == two[..., None, :]).any(axis=-1)
+    edge = np.sort(one[shared].reshape(first.shape + (2,)), axis=-1)
+    a, b = mesh.vertices[edge[..., 0]], mesh.vertices[edge[..., 1]]
+    points = np.repeat(x0, mesh.n_t)[:, None]
+
+    def gap(t):
+        traj = mesh.motion.forward(t.ravel(), points)[:, 0].reshape(t.shape)
+        frac = (t - a[..., 0]) / (b[..., 0] - a[..., 0])
+        return traj - (a[..., 1] + frac * (b[..., 1] - a[..., 1]))
+    return gap, a[..., 0], b[..., 0]
+
+
+def chord_crossings(mesh, x0):
+    """One regula-falsi step from the gaps at the slab ends."""
+    gap, lo, hi = _diagonal_gap(mesh, x0)
+    gap_lo, gap_hi = gap(lo), gap(hi)
+    return lo + (hi - lo) * (gap_lo / (gap_lo - gap_hi))
+
+
+def bisected_crossings(mesh, x0):
+    """Midpoints after 50 bisections of each slab on the gap's sign."""
+    gap, lo, hi = _diagonal_gap(mesh, x0)
+    sign_lo = np.sign(gap(lo))
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        same = np.sign(gap(mid)) == sign_lo
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
 # finite-difference oracles for the pullback kernels
 
 

@@ -156,7 +156,7 @@ def test_criterion_2_gradient_correctness():
                           ("static-control", identity_problem)):
         mesh, layout, source, objective = builder(96)
         state = solve_state(mesh, layout, source)
-        adjoint = solve_adjoint(mesh, layout, state.u, objective)
+        adjoint = solve_adjoint(state, objective)
         sm = mesh.spatial_mesh()
         theta = theta_bump(sm)
         value = volume_form_pairing(mesh, layout, state.u, adjoint, source,
@@ -205,7 +205,7 @@ def test_criterion_3_form_equivalence():
         source = AnalyticSource("sin(pi*x)*(1+sin(2*pi*t))*(1+0.5*x)", motion)
         objective = objective_u()
         state = solve_state(mesh, layout, source)
-        adjoint = solve_adjoint(mesh, layout, state.u, objective)
+        adjoint = solve_adjoint(state, objective)
         sm = mesh.spatial_mesh()
         iface = pde_surface_derivative(mesh, layout, state.u, adjoint)
         dens = pde_volume_densities(mesh, layout, state.u, adjoint, source,
@@ -436,7 +436,7 @@ def test_criterion_8_motor_scale_exclusion():
 
     mesh, layout, source, objective = moving_interface_problem(12, 10)
     state = solve_state(mesh, layout, source)
-    adjoint = solve_adjoint(mesh, layout, state.u, objective)
+    adjoint = solve_adjoint(state, objective)
     sm = mesh.spatial_mesh()
     mask = sm.phases == 1
 

@@ -110,6 +110,11 @@ MINIMAL_MATERIALS = ("[materials]\nphase 1 sigma = 1\n"
     ("theta_tol = 1e-9", "max_halvings = -1"),
     ("theta_tol = 1e-9", "tau_min = 1000"),
     ("theta_tol = 1e-9", "cauchy_riemann = true"),
+    ("eps = 1e-2 1e-3 1e-4", "eps = 1e-2 0"),
+    ("eps = 1e-2 1e-3 1e-4", "eps ="),
+    ("eps = 1e-2 1e-3 1e-4", "eps = 1e-2 nan"),
+    ("eps = 1e-2 1e-3 1e-4", "eps = 1e-2 inf"),
+    ("eps = 1e-2 1e-3 1e-4", "eps = 1e-2 1e-2"),
 ])
 def test_bad_value_is_a_config_error_at_its_line(tmp_path, old, new):
     path = write_cfg(tmp_path)
@@ -256,20 +261,33 @@ def test_cmd_check_gradient_passes_on_benchmark(tmp_path, capsys):
 def test_cmd_check_gradient_prints_the_same_with_the_handed_factor(
         tmp_path, monkeypatch, capsys):
     cfg = write_cfg(tmp_path, nx=16, nt=16)
-    real_adjoint = cli.solve_adjoint
+    real_solve = cli.solve_state
     outputs = []
     for keep in (True, False):
         handed = []
 
-        def adjoint(*args, factored=None):
-            handed.append(factored)
-            return real_adjoint(*args, factored=factored if keep else None)
+        def solve(*args, **kwargs):
+            state = real_solve(*args, **kwargs)
+            handed.append(state.system)
+            if not keep:
+                state.system = None
+            return state
 
-        monkeypatch.setattr(cli, "solve_adjoint", adjoint)
+        monkeypatch.setattr(cli, "solve_state", solve)
         main(["check-gradient", "--config", str(cfg)])
         assert handed[0] is not None
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("eps", ["abc", "1e-2,0", "1e-2", "1e-2,nan", ""])
+def test_check_gradient_bad_eps_option_is_a_config_error(tmp_path, capsys,
+                                                         eps):
+    cfg = write_cfg(tmp_path, nx=8, nt=8)
+    assert main(["check-gradient", "--config", str(cfg), "--eps", eps]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ")
+    assert captured.out == ""
 
 
 def test_cmd_check_gradient_zero_theta_trivially_passes(tmp_path, capsys):

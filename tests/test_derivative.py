@@ -163,7 +163,7 @@ def test_trivial_densities_vanish():
 def test_densities_match_direct_kernel_evaluation(builder):
     mesh, layout, source, objective = builder(12, 10)
     state = solve_state(mesh, layout, source)
-    p = solve_adjoint(mesh, layout, state.u, objective)
+    p = solve_adjoint(state, objective)
     dens = pde_volume_densities(mesh, layout, state.u, p, source, objective)
     for _ in range(5):
         theta = random_theta(13)
@@ -176,7 +176,7 @@ def test_densities_match_direct_kernel_evaluation(builder):
 def test_density_pairing_is_linear_in_theta():
     mesh, layout, source, objective = moving_interface_problem(10)
     state = solve_state(mesh, layout, source)
-    p = solve_adjoint(mesh, layout, state.u, objective)
+    p = solve_adjoint(state, objective)
     dens = pde_volume_densities(mesh, layout, state.u, p, source, objective)
     t1, t2 = random_theta(11), random_theta(11)
     lhs = dens.pairing(2.5 * t1 - 1.5 * t2)
@@ -189,7 +189,7 @@ def test_densities_agree_with_element_rule_pairing_under_refinement():
     for n in (48, 96):
         mesh, layout, source, objective = moving_interface_problem(n)
         state = solve_state(mesh, layout, source)
-        p = solve_adjoint(mesh, layout, state.u, objective)
+        p = solve_adjoint(state, objective)
         sm = mesh.spatial_mesh()
         theta = theta_bump(sm)
         a = pde_volume_densities(mesh, layout, state.u, p, source,
@@ -209,7 +209,7 @@ def test_densities_agree_with_element_rule_pairing_under_refinement():
 def test_adjoint_derivative_matches_shape_fd(builder, n, best_tol):
     mesh, layout, source, objective = builder(n)
     state = solve_state(mesh, layout, source)
-    p = solve_adjoint(mesh, layout, state.u, objective)
+    p = solve_adjoint(state, objective)
     sm = mesh.spatial_mesh()
     theta = theta_bump(sm)
     adjoint_value = volume_form_pairing(mesh, layout, state.u, p, source,
@@ -228,7 +228,7 @@ def test_adjoint_derivative_matches_shape_fd(builder, n, best_tol):
 def test_density_route_first_order_in_eps_before_floor():
     mesh, layout, source, objective = identity_problem(96)
     state = solve_state(mesh, layout, source)
-    p = solve_adjoint(mesh, layout, state.u, objective)
+    p = solve_adjoint(state, objective)
     theta = theta_bump(mesh.spatial_mesh())
     value = pde_volume_densities(mesh, layout, state.u, p, source,
                                  objective).pairing(theta)
@@ -253,7 +253,7 @@ def test_surface_density_zero_without_jumps():
     mesh = generate_mesh(16, 16, (0.4, 0.6), motion)
     source = AnalyticSource("(xref-0.4)*(xref-0.6)*sqrt(x)*(1+t-x)", motion)
     state = solve_state(mesh, layout, source)
-    p = solve_adjoint(mesh, layout, state.u, objective_u())
+    p = solve_adjoint(state, objective_u())
     iface = pde_surface_derivative(mesh, layout, state.u, p)
     assert np.max(np.abs(iface.values)) < 1e-12
 
@@ -261,7 +261,7 @@ def test_surface_density_zero_without_jumps():
 def test_surface_form_requires_constant_laws():
     mesh, layout, source, objective = nonlinear_problem(8)
     state = solve_state(mesh, layout, source)
-    p = solve_adjoint(mesh, layout, state.u, objective)
+    p = solve_adjoint(state, objective)
     with pytest.raises(UnsupportedCaseError):
         pde_surface_derivative(mesh, layout, state.u, p)
 
@@ -272,7 +272,7 @@ def test_surface_form_reads_the_elements_beside_each_interface_edge():
     # of its vertices, and the third vertex's column tells the side.
     mesh, layout, source, objective = moving_interface_problem(16)
     state = solve_state(mesh, layout, source)
-    p = solve_adjoint(mesh, layout, state.u, objective)
+    p = solve_adjoint(state, objective)
     iface = pde_surface_derivative(mesh, layout, state.u, p)
     u_nodal, p_nodal = state.u.nodal(), p.nodal()
     mat_in, mat_out = layout.materials[1], layout.materials[2]
@@ -351,7 +351,7 @@ def test_surface_and_volume_forms_agree_near_interface(motion_builder):
         source = AnalyticSource("sin(pi*x)*(1+sin(2*pi*t))*(1+0.5*x)", motion)
         objective = objective_u()
         state = solve_state(mesh, layout, source)
-        p = solve_adjoint(mesh, layout, state.u, objective)
+        p = solve_adjoint(state, objective)
         sm = mesh.spatial_mesh()
         iface = pde_surface_derivative(mesh, layout, state.u, p)
         dens = pde_volume_densities(mesh, layout, state.u, p, source,
@@ -374,7 +374,7 @@ def test_interior_deformations_pair_to_zero_under_refinement():
     for n in (40, 80, 160):
         mesh, layout, source, objective = moving_interface_problem(n)
         state = solve_state(mesh, layout, source)
-        p = solve_adjoint(mesh, layout, state.u, objective)
+        p = solve_adjoint(state, objective)
         sm = mesh.spatial_mesh()
         dens = pde_volume_densities(mesh, layout, state.u, p, source,
                                     objective)
@@ -389,7 +389,7 @@ def test_surface_descent_direction_decreases_objective():
     mesh, layout, source, objective = moving_interface_problem(48)
     state = solve_state(mesh, layout, source)
     j_base = evaluate_objective(mesh, state.u, objective)
-    p = solve_adjoint(mesh, layout, state.u, objective)
+    p = solve_adjoint(state, objective)
     iface = pde_surface_derivative(mesh, layout, state.u, p)
     sm = mesh.spatial_mesh()
     theta = np.zeros(len(sm.nodes))
@@ -407,7 +407,7 @@ def test_surface_descent_direction_decreases_objective():
 def magnetization_setup(n=12):
     mesh, layout, source, objective = moving_interface_problem(n, 10)
     state = solve_state(mesh, layout, source)
-    p = solve_adjoint(mesh, layout, state.u, objective)
+    p = solve_adjoint(state, objective)
     sm = mesh.spatial_mesh()
     mask = sm.phases == 1           # support on the conducting band
     return mesh, p, mask, sm

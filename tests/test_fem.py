@@ -265,10 +265,11 @@ def test_linear_adjoint_through_the_hand_off_equals_a_fresh_one(
     assert state.system is not None
     assembled = recorded(monkeypatch, fem, "_jacobian_matrix")
     with counted_splu() as splu:
-        handed = solve_adjoint(mesh, layout, state.u, objective,
-                               factored=state.system)
+        handed = solve_adjoint(state, objective)
         assert splu.call_count == 0 and assembled == []
-        fresh = solve_adjoint(mesh, layout, state.u, objective)
+        assert state.system is None
+        # with the factor released, a second call assembles afresh
+        fresh = solve_adjoint(state, objective)
         assert splu.call_count == 1 and len(assembled) == 1
     assert np.array_equal(handed.values, fresh.values)
 
@@ -507,10 +508,10 @@ def test_manufactured_nonlinear_convergence_and_newton_contraction():
 
 def test_zero_objective_derivative_gives_zero_adjoint():
     mesh, layout, source, _ = moving_interface_problem(10)
-    u = solve_state(mesh, layout, source).u
+    state = solve_state(mesh, layout, source)
     objective = type(objective_u())(j=lambda u: u ** 2,
                                     jprime=lambda u: np.zeros_like(u))
-    p = solve_adjoint(mesh, layout, u, objective)
+    p = solve_adjoint(state, objective)
     assert np.all(p.values == 0.0)
 
 
@@ -524,8 +525,8 @@ def test_adjoint_equals_time_reflected_state():
     minus_one = CallableSource(lambda t, x, xi: -np.ones_like(x),
                                lambda t, x, xi: np.zeros_like(x))
     u_minus = solve_state(mesh, layout, minus_one).u
-    any_state = solve_state(mesh, layout, zero_source()).u
-    p = solve_adjoint(mesh, layout, any_state, objective_u())
+    any_state = solve_state(mesh, layout, zero_source())
+    p = solve_adjoint(any_state, objective_u())
     p_nodal = p.nodal()
     u_nodal = u_minus.nodal()
     for j in range(n_t + 1):
@@ -571,8 +572,9 @@ def test_tangent_matches_shape_finite_difference():
                          ids=["linear", "curve_law"])
 def test_adjoint_tangent_duality_is_exact(problem):
     mesh, layout, source, objective = problem(16)
-    u = solve_state(mesh, layout, source).u
-    p = solve_adjoint(mesh, layout, u, objective)
+    state = solve_state(mesh, layout, source)
+    u = state.u
+    p = solve_adjoint(state, objective)
     sm = mesh.spatial_mesh()
     theta = theta_bump(sm)
     udot = solve_tangent(mesh, layout, u, source, theta)
@@ -586,8 +588,9 @@ def test_adjoint_tangent_duality_is_exact(problem):
                          ids=["linear", "curve_law"])
 def test_element_rule_matches_direct_kernel_evaluation(problem):
     mesh, layout, source, objective = problem(8, 6)
-    u = solve_state(mesh, layout, source).u
-    p = solve_adjoint(mesh, layout, u, objective)
+    state = solve_state(mesh, layout, source)
+    u = state.u
+    p = solve_adjoint(state, objective)
     sm = mesh.spatial_mesh()
     theta = theta_bump(sm)
     direct = direct_element_pairing(mesh, layout, u, p, source, objective,
@@ -743,20 +746,15 @@ def test_linear_state_near_the_tolerance_is_judged_by_the_element_pass(
 
 def test_adjoint_assembles_for_another_mesh_or_a_nonlinear_layout(
         monkeypatch):
-    mesh, layout, source, objective = moving_interface_problem(12)
-    state = solve_state(mesh, layout, source)
+    # a nonlinear state hands over no factor: the adjoint assembles the
+    # Jacobian at u on the state's own mesh, once
+    mesh, layout, source, objective = nonlinear_problem(12)
     moved = deform_mesh(mesh, theta_bump(mesh.spatial_mesh()), 0.02)
-    moved_state = solve_state(moved, layout, source)
-    _, curve_layout, _, _ = nonlinear_problem(12)
+    state = solve_state(moved, layout, source)
+    assert state.system is None
     assembled = recorded(monkeypatch, fem, "_jacobian_matrix")
     with counted_splu() as splu:
-        on_moved = solve_adjoint(moved, layout, moved_state.u, objective,
-                                 factored=state.system)
-        assert len(assembled) == 1 and splu.call_count == 1
-        curved = solve_adjoint(mesh, curve_layout, state.u, objective,
-                               factored=state.system)
-        assert len(assembled) == 2 and splu.call_count == 2
-    assert np.array_equal(on_moved.values, solve_adjoint(
-        moved, layout, moved_state.u, objective).values)
-    assert np.array_equal(curved.values, solve_adjoint(
-        mesh, curve_layout, state.u, objective).values)
+        curved = solve_adjoint(state, objective)
+        assert assembled == [moved] and splu.call_count == 1
+    assert np.array_equal(curved.values,
+                          solve_adjoint(state, objective).values)

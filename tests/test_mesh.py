@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import moving_interface_problem, periodic_pairs, theta_bump
+from helpers import (bisected_crossings, chord_crossings,
+                     moving_interface_problem, periodic_pairs, theta_bump)
 from stshapeopt import (ConstantReluctivity, CustomMotion, Identity,
                         PhaseLayout, PhaseMaterial, Polynomial1D, deform_mesh,
                         generate_mesh, pde_volume_densities, solve_adjoint,
@@ -258,7 +259,7 @@ def test_geometry_is_computed_once_per_mesh(monkeypatch):
     mesh, layout, source, objective = moving_interface_problem(12)
     calls = count_inversions(monkeypatch, mesh.motion)
     state = solve_state(mesh, layout, source)
-    p = solve_adjoint(mesh, layout, state.u, objective)
+    p = solve_adjoint(state, objective)
     pde_volume_densities(mesh, layout, state.u, p, source, objective)
     assert calls == [3 * mesh.n_elements]
 
@@ -317,33 +318,25 @@ def test_quadrature_points_equal_the_einsum_reference(motion):
         assert np.array_equal(geom.qp_x, qp[:, :, 1])
 
 
-def bisecting(motion):
-    """The same motion, declared not affine in t, so that the crossing
-    times take the generic bisection."""
-    other = type(motion)()
-    other.affine_in_t = False
-    return other
-
-
 @pytest.mark.parametrize("motion", [Polynomial1D(), Identity(dim=1)],
                          ids=["polynomial", "identity"])
 def test_closed_form_crossings_match_the_bisection(motion):
-    assert motion.affine_in_t
     mesh = generate_mesh(40, 40, (0.4, 0.6), motion)
     deformed = deform_mesh(mesh, theta_bump(mesh.spatial_mesh()), 0.03)
     x0 = np.linspace(0.013, 0.987, 37)
     for m in (mesh, deformed):
-        elements, closed = trajectory_intervals(m, x0)
-        other = dataclasses.replace(m, motion=bisecting(motion))
-        same_elements, bisected = trajectory_intervals(other, x0)
-        assert np.array_equal(elements, same_elements)
+        elements, t_nodes = trajectory_intervals(m, x0)
+        # x0[18] = 0.5 is a node, followed in the cell to its right
+        cells = np.searchsorted(m.xi_nodes, x0, side="right") - 1
+        assert np.array_equal(elements[:, 0::2], 2 * (
+            np.arange(m.n_t)[None, :] * m.n_x + cells[:, None]))
         # relative to the period: a crossing next to a slab end is ~0
-        assert np.max(np.abs(closed - bisected)) <= 1e-15 * m.t_final
+        assert np.max(np.abs(t_nodes[:, 1::2] - bisected_crossings(m, x0))) \
+            <= 1e-15 * m.t_final
 
 
 def test_motion_not_affine_in_t_bisects_to_the_crossing():
     motion = quadratic_in_t()
-    assert not motion.affine_in_t
     mesh = generate_mesh(12, 12, (0.4, 0.6), motion)
     x0 = np.array([0.11, 0.37, 0.52, 0.74])
     elements, t_nodes = trajectory_intervals(mesh, x0)
@@ -358,8 +351,6 @@ def test_motion_not_affine_in_t_bisects_to_the_crossing():
     frac = (t_star.ravel() - a[:, 0]) / (b[:, 0] - a[:, 0])
     on_diag = a[:, 1] + frac * (b[:, 1] - a[:, 1])
     assert np.max(np.abs(x_star[:, 0] - on_diag)) <= 1e-14
-    # the chord from the slab ends misses that root
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(motion, "affine_in_t", True)
-        _, chord = trajectory_intervals(mesh, x0)
-    assert np.max(np.abs(chord[:, 1::2] - t_star)) > 1e-6
+    # found by bisection: the chord from the slab ends misses that root
+    assert np.array_equal(t_star, bisected_crossings(mesh, x0))
+    assert np.max(np.abs(chord_crossings(mesh, x0) - t_star)) > 1e-6

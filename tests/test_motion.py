@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from stshapeopt import CustomMotion, Identity, Polynomial1D, Rotation2D
+from helpers import chord_crossings, theta_bump
+from stshapeopt import (CustomMotion, Identity, Polynomial1D, Rotation2D,
+                        deform_mesh, generate_mesh)
 from stshapeopt.errors import GeometryError
+from stshapeopt.mesh import trajectory_intervals
 from stshapeopt.motion import Motion
 
 RNG = np.random.default_rng(7)
@@ -97,29 +100,14 @@ def test_custom_motion_with_default_inverse():
     assert np.max(np.abs(motion.velocity(0.6, y) - motion.dt(0.6, x))) < 1e-12
 
 
-def declared_affine_in_t():
-    found, pending = [], [Motion]
-    while pending:
-        cls = pending.pop()
-        pending += cls.__subclasses__()
-        if cls.affine_in_t:
-            found.append(cls)
-    return found
-
-
-def test_affine_in_t_is_declared_by_identity_and_polynomial_only():
-    assert {cls.__name__ for cls in declared_affine_in_t()} == \
-        {"Identity", "Polynomial1D"}
-
-
-@pytest.mark.parametrize("cls", declared_affine_in_t(),
-                         ids=lambda cls: cls.__name__)
-def test_declared_affine_motion_is_affine_in_t(cls):
-    # the mesh's closed-form diagonal crossings rely on this declaration
-    motion = cls()
-    x = np.linspace(0.0, 1.0, 101)[:, None]
-    t = np.linspace(0.0, 1.0, 9)
-    for t0, t1 in [(a, b) for a in t for b in t if a < b]:
-        mid = motion.forward(0.5 * (t0 + t1), x)
-        mean = 0.5 * (motion.forward(t0, x) + motion.forward(t1, x))
-        assert np.max(np.abs(mid - mean)) <= 1e-15
+@pytest.mark.parametrize("motion", [Identity(dim=1), Polynomial1D()],
+                         ids=lambda motion: type(motion).__name__)
+def test_affine_motion_crossings_are_the_one_step_chord(motion):
+    # affine in t, so the chord is the crossing and the mesh takes it
+    # without bisecting
+    mesh = generate_mesh(40, 40, (0.4, 0.6), motion)
+    deformed = deform_mesh(mesh, theta_bump(mesh.spatial_mesh()), 0.03)
+    x0 = np.linspace(0.013, 0.987, 37)
+    for m in (mesh, deformed):
+        _, t_nodes = trajectory_intervals(m, x0)
+        assert np.array_equal(t_nodes[:, 1::2], chord_crossings(m, x0))

@@ -62,7 +62,7 @@ def test_hilbertian_matches_dense_solve():
 def test_direction_pairing_is_nonpositive():
     mesh, layout, source, objective = moving_interface_problem(20)
     state = solve_state(mesh, layout, source)
-    p = solve_adjoint(mesh, layout, state.u, objective)
+    p = solve_adjoint(state, objective)
     dens = pde_volume_densities(mesh, layout, state.u, p, source, objective)
     direction, norm = hilbertian_direction(dens, DescentConfig())
     assert norm > 0.0
@@ -83,7 +83,7 @@ def descent_setup(n=24):
     state = solve_state(mesh, layout, source)
     from stshapeopt import evaluate_objective
     j0 = evaluate_objective(mesh, state.u, objective)
-    p = solve_adjoint(mesh, layout, state.u, objective)
+    p = solve_adjoint(state, objective)
     dens = pde_volume_densities(mesh, layout, state.u, p, source, objective)
     direction, norm = hilbertian_direction(dens, DescentConfig())
     return mesh, layout, source, objective, state, j0, direction, dens

@@ -55,9 +55,9 @@ def solved(data):
     n_x = data.draw(SIZES)
     mesh, layout, source, objective = data.draw(PROBLEMS)(n_x,
                                                           data.draw(SIZES))
-    u = solve_state(mesh, layout, source).u
-    p = solve_adjoint(mesh, layout, u, objective)
-    return mesh, layout, source, objective, u, p
+    state = solve_state(mesh, layout, source)
+    p = solve_adjoint(state, objective)
+    return mesh, layout, source, objective, state.u, p
 
 
 @PROPERTY

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedCaseError
-from .fem import (_derivative_integrand, _reluctivity_arrays, _slope,
-                  element_geometry, evaluate_objective, solve_state)
+from .fem import (_derivative_integrand, _slope, evaluate_objective,
+                  solve_state)
 from .kernels import jet1d, m_prime, pullback_scalar_derivative
 from .mesh import deform_mesh, mesh_geometry, trajectory_intervals
 
@@ -62,6 +62,12 @@ def _element_planes(mesh, nodal):
             mesh.vertices[anchor, 0], mesh.vertices[anchor, 1])
 
 
+def _plane_value(planes, e, t, x):
+    """Value at the points (t, x) of the planes of the elements e."""
+    v0, v_t, v_x, t0, x0 = planes
+    return v0[e] + v_t[e] * (t - t0[e]) + v_x[e] * (x - x0[e])
+
+
 def _trajectory_samples(mesh, xi_c):
     """Both ends of every sub-interval of the trajectories of the reference
     points xi_c: times, covering elements, reference and physical points
@@ -92,23 +98,21 @@ def pde_volume_densities(mesh, layout, u, p, source, objective):
     centroid trajectories.
     """
     sm = mesh.spatial_mesh()
-    u0, u_t, u_x, _, _ = _element_planes(mesh, u.nodal())
-    p0, p_t, p_x, t0, x0 = _element_planes(mesh, p.nodal())
-    geom = element_geometry(mesh, layout)
-    nu_e, nu_prime_e = _reluctivity_arrays(geom, np.abs(u_x))
+    u_planes = _element_planes(mesh, u.nodal())
+    p_planes = _element_planes(mesh, p.nodal())
+    (_, u_t, u_x, _, _), (_, _, p_x, _, _) = u_planes, p_planes
+    nu_e, nu_prime_e = layout.reluctivity(mesh.phases, np.abs(u_x))
 
     t_eval, e_eval, xi_eval, x_eval, jets, dt = \
         _trajectory_samples(mesh, sm.centroids)
 
-    u_pt = u0[e_eval] + u_t[e_eval] * (t_eval - t0[e_eval]) \
-        + u_x[e_eval] * (x_eval - x0[e_eval])
-    p_pt = p0[e_eval] + p_t[e_eval] * (t_eval - t0[e_eval]) \
-        + p_x[e_eval] * (x_eval - x0[e_eval])
     s0, s1 = _derivative_integrand(
-        jets, geom.sigma[e_eval], nu_e[e_eval], nu_prime_e[e_eval],
-        u_t[e_eval], u_x[e_eval], objective.j(u_pt),
+        jets, layout.sigma(mesh.phases)[e_eval], nu_e[e_eval],
+        nu_prime_e[e_eval], u_t[e_eval], u_x[e_eval],
+        objective.j(_plane_value(u_planes, e_eval, t_eval, x_eval)),
         source.values(t_eval, x_eval, xi_eval),
-        source.gradient(t_eval, x_eval, xi_eval), p_pt, p_x[e_eval])
+        source.gradient(t_eval, x_eval, xi_eval),
+        _plane_value(p_planes, e_eval, t_eval, x_eval), p_x[e_eval])
 
     return DerivativeDensities(
         g0=_trajectory_integral(jets, dt, s0),
@@ -124,8 +128,9 @@ def pde_surface_derivative(mesh, layout, u, p):
     sm = mesh.spatial_mesh()
     nodes = sm.interface_nodes()
     _, u_t, u_x, _, _ = _element_planes(mesh, u.nodal())
-    p0, p_t, p_x, t0, x0 = _element_planes(mesh, p.nodal())
-    nu = _reluctivity_arrays(element_geometry(mesh, layout), np.abs(u_x))[0]
+    p_planes = _element_planes(mesh, p.nodal())
+    _, _, p_x, _, _ = p_planes
+    nu = layout.reluctivity(mesh.phases, np.abs(u_x))[0]
     mat_in, mat_out = layout.materials[1], layout.materials[2]
     sigma_jump = mat_out.sigma - mat_in.sigma
     inv_nu_jump = 1.0 / mat_out.nu.value - 1.0 / mat_in.nu.value
@@ -144,7 +149,7 @@ def pde_surface_derivative(mesh, layout, u, p):
         .reshape(t.shape)[..., None]
     jet = jet1d(mesh.motion, t, xi)
 
-    p_val = p0[e] + p_t[e] * (t[..., None] - t0[e]) + p_x[e] * (x - x0[e])
+    p_val = _plane_value(p_planes, e, t[..., None], x)
     dudt = (u_t[e] + jet.vhat[..., None] * u_x[e]) * p_val
     fluxprod = (nu[e] * u_x[e]) * (nu[e] * p_x[e])
     contrib = np.abs(jet.G) * (-sigma_jump * np.mean(dudt, axis=-1)

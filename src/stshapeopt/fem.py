@@ -83,10 +83,11 @@ class Objective:
 
 @dataclass(frozen=True)
 class ElementGeometry(MeshGeometry):
-    """Mesh geometry, layout data and u-independent blocks built on use."""
+    """Mesh geometry, the layout with its sigma per element, and the
+    u-independent blocks, built on first use; one per state solve."""
 
     sigma: np.ndarray
-    phase_groups: list
+    layout: object
 
     @cached_property
     def conv(self):
@@ -103,19 +104,8 @@ class ElementGeometry(MeshGeometry):
 
 def element_geometry(mesh, layout):
     """Per-element data shared by the assembly routines."""
-    groups = [(mesh.phases == pid, mat.nu)
-              for pid, mat in layout.materials.items()]
     return ElementGeometry(**vars(mesh_geometry(mesh)),
-                           sigma=layout.sigma(mesh.phases),
-                           phase_groups=groups)
-
-
-def _reluctivity_arrays(geom, grad_norm):
-    nu, nu_prime = np.empty_like(grad_norm), np.empty_like(grad_norm)
-    for mask, law in geom.phase_groups:
-        if np.any(mask):
-            nu[mask], nu_prime[mask] = law.eval(grad_norm[mask])
-    return nu, nu_prime
+                           sigma=layout.sigma(mesh.phases), layout=layout)
 
 
 def _slope(ue, grad):
@@ -188,7 +178,7 @@ def _load_vector(mesh, geom, dofmap, source):
 def _residual_local(mesh, geom, u_nodal):
     ue = u_nodal[mesh.elements]
     u_t, u_x = _slope(ue, geom.grad_t), _slope(ue, geom.grad_x)
-    nu, _ = _reluctivity_arrays(geom, np.abs(u_x))
+    nu, _ = geom.layout.reluctivity(mesh.phases, np.abs(u_x))
     local = geom.sigma[:, None] * (u_t[:, None] * (geom.area / 3.0)[:, None]
                                    + u_x[:, None] * geom.conv)
     local += (nu * u_x * geom.area)[:, None] * geom.grad_x
@@ -200,7 +190,7 @@ def _residual_local(mesh, geom, u_nodal):
 
 def _jacobian_matrix(mesh, geom, dofmap, u_nodal):
     u_x = _slope(u_nodal[mesh.elements], geom.grad_x)
-    nu, nu_prime = _reluctivity_arrays(geom, np.abs(u_x))
+    nu, nu_prime = geom.layout.reluctivity(mesh.phases, np.abs(u_x))
     d_nu = nu + nu_prime * np.abs(u_x)
     # C order: a flat view of the column-major grad_x products would copy
     k = np.add(geom.sigma_block, (d_nu * geom.area)[:, None, None]
@@ -313,16 +303,17 @@ class NewtonOptions:
 @dataclass
 class SolveResult:
     """State field on ``mesh`` and ``layout``, and the Newton history.
-    ``system`` is the last Newton step's LinearSystem when every
-    reluctivity law is constant, since only then is its matrix the
-    Jacobian at ``u``; otherwise it is None.  It holds a whole LU factor,
-    which ``solve_adjoint`` takes over and releases."""
+    ``geom`` is the ElementGeometry of the Newton loop; ``system`` is the
+    last Newton step's LinearSystem when every reluctivity law is
+    constant, since only then is its matrix the Jacobian at ``u``, and
+    None otherwise.  ``solve_adjoint`` takes over and releases both."""
 
     u: Field
     mesh: object
     layout: object
     iterations: int
     residual_norms: list = field(default_factory=list)
+    geom: ElementGeometry = None
     system: LinearSystem = None
 
 
@@ -367,10 +358,6 @@ def solve_state(mesh, layout, source, newton=None, initial_guess=None):
     res = residual(u)
     res_norm = np.linalg.norm(res)
     scale = max(scale, res_norm)
-    if scale == 0.0:
-        return SolveResult(u=u, mesh=mesh, layout=layout, iterations=0,
-                           residual_norms=[0.0])
-
     norms = [res_norm]
     system = None
     # Written so that a NaN residual never counts as converged.
@@ -399,6 +386,7 @@ def solve_state(mesh, layout, source, newton=None, initial_guess=None):
             damping *= 0.5
     return SolveResult(u=u, mesh=mesh, layout=layout,
                        iterations=len(norms) - 1, residual_norms=norms,
+                       geom=geom,
                        system=system if layout.all_constant else None)
 
 
@@ -415,16 +403,19 @@ def solve_adjoint(state, objective):
     """Adjoint field from the transposed state Jacobian at the SolveResult
     ``state``, loaded with the negative objective derivative.
 
-    The adjoint takes over ``state.system`` and sets it to None, so no
-    factor outlives it: with a system, its matrix is the Jacobian and its
-    factor is reused; without one (a nonlinear law, or a second call) the
-    Jacobian is assembled and factored."""
+    The adjoint takes over ``state.geom`` and ``state.system`` and sets
+    them to None, so neither outlives it: with a system, its matrix is the
+    Jacobian and its factor is reused; without one (a nonlinear law) the
+    Jacobian is assembled on the state's geometry, σ block included, and
+    factored; a second call on the same state builds a fresh geometry."""
     mesh, u, system = state.mesh, state.u, state.system
-    state.system = None
     if system is None:
-        system = LinearSystem(assemble_state_jacobian(mesh, state.layout, u))
-    else:
-        system = LinearSystem(system.matrix, factored=system)
+        matrix = _jacobian_matrix(
+            mesh, state.geom or element_geometry(mesh, state.layout),
+            u.dofmap, u.nodal())
+    state.geom = state.system = None  # neither is held while solving
+    system = LinearSystem(matrix) if system is None \
+        else LinearSystem(system.matrix, factored=system)
     b = -objective_gradient_vector(mesh, u, objective)
     return Field(u.dofmap, system.solve_transpose(b))
 
@@ -465,14 +456,14 @@ def _element_rule(mesh, layout, u, source, theta, j, test):
     """Weighted shape-derivative integrand at the element quadrature points
     (axis 1) for P1 test functions given by their vertex values test
     (n_e or 1, 3, k); j is the objective integrand."""
-    geom = element_geometry(mesh, layout)
+    geom = mesh_geometry(mesh)
     spatial_mesh = mesh.spatial_mesh()
     ue = u.nodal()[mesh.elements]
     u_t, u_x = _slope(ue, geom.grad_t), _slope(ue, geom.grad_x)
-    nu, nu_prime = _reluctivity_arrays(geom, np.abs(u_x))
+    nu, nu_prime = layout.reluctivity(mesh.phases, np.abs(u_x))
     t, x, xi = (a[..., None] for a in (geom.qp_t, geom.qp_x, geom.qp_xi))
     s0, s1 = _derivative_integrand(
-        jet1d(mesh.motion, t, xi), geom.sigma[:, None, None],
+        jet1d(mesh.motion, t, xi), layout.sigma(mesh.phases)[:, None, None],
         nu[:, None, None], nu_prime[:, None, None], u_t[:, None, None],
         u_x[:, None, None], j(ue @ NQ.T)[..., None], source.values(t, x, xi),
         source.gradient(t, x, xi), np.einsum("qi,eik->eqk", NQ, test),

@@ -130,6 +130,15 @@ class PhaseLayout:
             out[np.asarray(phases) == pid] = mat.sigma
         return out
 
+    def reluctivity(self, phases, s):
+        """(nu, nu') per element: each phase's law at its elements' s."""
+        nu, nu_prime = np.empty_like(s), np.empty_like(s)
+        for pid, mat in self.materials.items():
+            mask = phases == pid
+            if np.any(mask):
+                nu[mask], nu_prime[mask] = mat.nu.eval(s[mask])
+        return nu, nu_prime
+
     @property
     def all_constant(self):
         return all(m.nu.is_constant for m in self.materials.values())

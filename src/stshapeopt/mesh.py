@@ -27,7 +27,8 @@ NQ = np.array([[2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0],
 
 _EDGE_NUDGE = 1e-12
 _EXIT_TOL = 1e-10
-# Largest gap, in x, at which a chord step is taken as the crossing.
+# Largest gap, in x, at which a chord step is taken as the crossing, per
+# unit of the gap's slope in t above 1: the gap's roundoff grows with it.
 _CHORD_TOL = 1e-14
 
 
@@ -52,8 +53,7 @@ class SpatialMesh:
 
     def interface_nodes(self):
         """Indices of interior nodes where the phase label changes."""
-        change = np.nonzero(self.phases[1:] != self.phases[:-1])[0] + 1
-        return change
+        return np.nonzero(self.phases[1:] != self.phases[:-1])[0] + 1
 
     def interpolate(self, values, xi):
         """P1 interpolation of nodal values at points xi."""
@@ -278,13 +278,9 @@ def _diagonal_crossing_times(mesh, x0, cells):
     the slab ends is the crossing when the gap at every step is within
     roundoff of zero, as for a motion affine in t; otherwise the gaps are
     bisected 50 times."""
-    n_pts = len(x0)
-    n_t = mesh.n_t
-    n_x = mesh.n_x
-    slabs = np.arange(n_t)
-
+    n_pts, n_t, n_x = len(x0), mesh.n_t, mesh.n_x
     i_grid = np.broadcast_to(cells[:, None], (n_pts, n_t))
-    j_grid = np.broadcast_to(slabs[None, :], (n_pts, n_t))
+    j_grid = np.broadcast_to(np.arange(n_t)[None, :], (n_pts, n_t))
     rising = (i_grid + j_grid) % 2 == 0
 
     # Diagonal endpoints in physical coordinates: rising runs from
@@ -314,7 +310,8 @@ def _diagonal_crossing_times(mesh, x0, cells):
         raise GeometryError("trajectory does not cross a cell diagonal")
     # opposite signs, so the denominator does not cancel
     chord = lo + (hi - lo) * (gap_lo / (gap_lo - gap_hi))
-    if np.all(np.abs(gap(chord)) <= _CHORD_TOL):
+    slope = np.abs(gap_lo - gap_hi) / (hi - lo)
+    if np.all(np.abs(gap(chord)) <= _CHORD_TOL * np.maximum(1.0, slope)):
         return chord
     for _ in range(50):
         mid = 0.5 * (lo + hi)

@@ -12,7 +12,7 @@ quantity.
 
 import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,7 +71,6 @@ class OptimizationReport:
     mesh: object
     state: object
     objective_value: float
-    metadata: dict = field(default_factory=dict)
 
 
 def _inner_product_matrix(spatial_mesh, config):
@@ -189,17 +188,13 @@ def optimize(mesh, layout, source, objective, config, callback=None):
         tau_prev = result.tau
     else:
         norm = 0.0
-    state.system = None
+    state.geom = state.system = None
     records.append(IterationRecord(len(records), j_value, norm, 0.0,
                                    state.iterations))
 
     return OptimizationReport(
         records=records, termination=termination, mesh=mesh, state=state,
-        objective_value=j_value,
-        metadata={"theta_norm": "sqrt(b(theta, theta))",
-                  "inner_product":
-                      f"alpha={config.alpha} grad-grad + beta={config.beta} "
-                      f"mass, Dirichlet design boundary"})
+        objective_value=j_value)
 
 
 def write_history_csv(path, records):

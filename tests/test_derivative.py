@@ -17,7 +17,7 @@ from stshapeopt.derivative import (academic_surface_density,
                                    academic_volume_derivative_sampled,
                                    fd_objective_derivative)
 from stshapeopt.errors import UnsupportedCaseError
-from stshapeopt.fem import DofMap, Field, evaluate_objective
+from stshapeopt.fem import DofMap, ElementGeometry, Field, evaluate_objective
 from stshapeopt.kernels import jet1d
 
 RNG = np.random.default_rng(41)
@@ -264,6 +264,24 @@ def test_surface_form_requires_constant_laws():
     p = solve_adjoint(state, objective)
     with pytest.raises(UnsupportedCaseError):
         pde_surface_derivative(mesh, layout, state.u, p)
+
+
+def test_densities_build_no_element_geometry(monkeypatch):
+    # sigma and nu come from the layout, so neither form builds the
+    # assembly's per-element data
+    mesh, layout, source, objective = moving_interface_problem(12)
+    state = solve_state(mesh, layout, source)
+    p = solve_adjoint(state, objective)
+    built, init = [], ElementGeometry.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ElementGeometry, "__init__", counted)
+    pde_volume_densities(mesh, layout, state.u, p, source, objective)
+    pde_surface_derivative(mesh, layout, state.u, p)
+    assert built == []
 
 
 def test_surface_form_reads_the_elements_beside_each_interface_edge():

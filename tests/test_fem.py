@@ -321,6 +321,23 @@ def test_nonlinear_state_hands_over_no_factor():
     assert result.iterations > 1 and result.system is None
 
 
+def test_nonlinear_adjoint_reuses_the_state_geometry(monkeypatch):
+    mesh, layout, source, objective = nonlinear_problem(12)
+    state = solve_state(mesh, layout, source)
+    geom = state.geom
+    assert state.iterations > 1 and "sigma_block" in vars(geom)
+    block = vars(fem.ElementGeometry)["sigma_block"]
+    original = block.func
+    built = []
+    monkeypatch.setattr(block, "func",
+                        lambda g: built.append(g) or original(g))
+    geometries = recorded(monkeypatch, fem, "element_geometry")
+    assembled = recorded(monkeypatch, fem, "_jacobian_matrix", arg=1)
+    solve_adjoint(state, objective)
+    assert geometries == [] and built == [] and assembled == [geom]
+    assert state.geom is None and state.system is None
+
+
 def test_factorization_uses_fill_reducing_ordering():
     mesh, layout, _, _ = moving_interface_problem(48)
     matrix = assemble_state_jacobian(mesh, layout,
@@ -753,8 +770,12 @@ def test_adjoint_assembles_for_another_mesh_or_a_nonlinear_layout(
     state = solve_state(moved, layout, source)
     assert state.system is None
     assembled = recorded(monkeypatch, fem, "_jacobian_matrix")
+    geometries = recorded(monkeypatch, fem, "element_geometry")
     with counted_splu() as splu:
         curved = solve_adjoint(state, objective)
         assert assembled == [moved] and splu.call_count == 1
+    # the first call took over the state's geometry; a second builds one
+    assert geometries == [] and state.geom is None
     assert np.array_equal(curved.values,
                           solve_adjoint(state, objective).values)
+    assert geometries == [moved]

@@ -100,6 +100,22 @@ def test_layout_lookup():
     assert not layout.all_constant
 
 
+@pytest.mark.parametrize("phases", [[1, 2, 2, 1, 2], [2, 2, 2]],
+                         ids=["both", "empty_phase"])
+def test_layout_reluctivity_is_each_phase_law(phases):
+    constant = ConstantReluctivity(3.0)
+    layout = PhaseLayout({1: PhaseMaterial(2.0, constant),
+                          2: PhaseMaterial(0.0, CURVE)})
+    phases = np.array(phases)
+    s = RNG.uniform(0.0, 5.0, size=len(phases))
+    nu, nu_prime = layout.reluctivity(phases, s)
+    for pid, law in ((1, constant), (2, CURVE)):
+        mask = phases == pid
+        expected = law.eval(s[mask])
+        assert np.array_equal(nu[mask], expected[0])
+        assert np.array_equal(nu_prime[mask], expected[1])
+
+
 def test_torque_weight_examples():
     assert np.allclose(arkkio_q((1.0, 0.0)),
                        [[0.0, -0.5], [-0.5, 0.0]], atol=1e-15)

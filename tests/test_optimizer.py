@@ -177,7 +177,6 @@ def test_optimize_descends_strictly_and_preserves_mesh_invariants():
     assert np.all(report.mesh.signed_areas > 0.0)
     assert np.array_equal(periodic_pairs(report.mesh), periodic_pairs(mesh))
     assert np.array_equal(report.mesh.phases, mesh.phases)
-    assert "theta_norm" in report.metadata
 
 
 @pytest.mark.parametrize("spoil", [np.negative, lambda d: d * np.nan],
@@ -273,6 +272,30 @@ def test_no_factor_outlives_its_use():
         assert len(live) == 0
     # at most the previous Newton step's, while the next one is built
     assert result.iterations > 1 and max(seen) <= 1
+
+
+def test_one_element_geometry_per_state_solve_in_a_nonlinear_descent(
+        monkeypatch):
+    mesh, layout, source, objective = nonlinear_problem(12)
+    geometries, states = [], []
+    build, solve = fem.element_geometry, opt_mod.solve_state
+
+    def built(mesh_, layout_):
+        geometries.append(mesh_)
+        return build(mesh_, layout_)
+
+    def solved(mesh_, *args, **kwargs):
+        states.append(mesh_)
+        return solve(mesh_, *args, **kwargs)
+
+    monkeypatch.setattr(fem, "element_geometry", built)
+    monkeypatch.setattr(opt_mod, "solve_state", solved)
+    report = optimize(mesh, layout, source, objective,
+                      DescentConfig(tau_init=100.0))
+    assert report.termination == "line_search_failure"
+    assert len(report.records) > 3
+    assert geometries == states
+    assert report.state.geom is None
 
 
 def test_newton_drops_each_factor_before_building_the_next():

@@ -5,11 +5,11 @@ from .derivative import (DerivativeDensities, InterfaceDensities,
                          academic_objective, academic_surface_derivative,
                          academic_volume_derivative, fd_objective_derivative,
                          magnetization_supplement, pde_surface_derivative,
-                         pde_volume_densities)
+                         pde_volume_densities, solve_tangent,
+                         volume_form_pairing)
 from .fem import (DofMap, Field, NewtonOptions, Objective,
                   assemble_state_jacobian, assemble_state_residual,
-                  evaluate_objective, solve_adjoint, solve_state,
-                  solve_tangent, volume_form_pairing)
+                  evaluate_objective, solve_adjoint, solve_state)
 from .materials import (ConstantReluctivity, PhaseLayout, PhaseMaterial,
                         ReluctivityCurve, arkkio_q, arkkio_torque)
 from .mesh import SpaceTimeMesh, SpatialMesh, deform_mesh, generate_mesh

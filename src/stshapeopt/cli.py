@@ -11,10 +11,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_config, read_eps
-from .derivative import fd_objective_derivative
+from .derivative import fd_objective_derivative, volume_form_pairing
 from .errors import ConfigError, StshapeoptError
-from .fem import (evaluate_objective, solve_adjoint, solve_state,
-                  volume_form_pairing)
+from .fem import evaluate_objective, solve_adjoint, solve_state
 from .optimizer import optimize, write_history_csv
 from .vtkio import write_vtk
 

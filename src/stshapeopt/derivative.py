@@ -1,5 +1,6 @@
 """Shape derivatives: academic volume/surface forms, PDE-constrained volume
-densities and interface densities, and the magnetization supplement.
+forms, interface densities, the tangent problem and the magnetization
+supplement.
 
 The volume form of every derivative here is a pairing
 
@@ -9,7 +10,8 @@ with piecewise-constant densities g0, g1 on the spatial design mesh.  Each
 density is a time integral of pullback-kernel coefficients along the
 trajectory t -> phi_t(xi) of the element centroid, evaluated with a composite
 trapezoidal rule whose nodes are the slab boundaries and the diagonal
-crossing times of the trajectory.
+crossing times of the trajectory; the element rule samples the same
+integrand at the space-time quadrature points.
 """
 
 from dataclasses import dataclass
@@ -17,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedCaseError
-from .fem import (_derivative_integrand, _slope, evaluate_objective,
-                  solve_state)
+from .fem import (Field, LinearSystem, _scatter_vector, _slope,
+                  assemble_state_jacobian, evaluate_objective, solve_state)
 from .kernels import jet1d, m_prime, pullback_scalar_derivative
-from .mesh import deform_mesh, mesh_geometry, trajectory_intervals
+from .mesh import NQ, deform_mesh, mesh_geometry, trajectory_intervals
 
 
 @dataclass
@@ -31,13 +33,17 @@ class DerivativeDensities:
     g1: np.ndarray
     spatial_mesh: object
 
+    def load(self):
+        """Nodal load J'(psi_k) of every P1 hat function psi_k."""
+        h = self.spatial_mesh.widths
+        load = np.zeros(len(h) + 1)
+        load[:-1] += 0.5 * h * self.g0 - self.g1
+        load[1:] += 0.5 * h * self.g0 + self.g1
+        return load
+
     def pairing(self, theta):
         """Exact integral of g0 . theta + g1 theta' for P1 nodal theta."""
-        theta = np.asarray(theta, dtype=float)
-        mean = 0.5 * (theta[:-1] + theta[1:])
-        jump = np.diff(theta)
-        return float(np.sum(self.spatial_mesh.widths * self.g0 * mean)
-                     + np.sum(self.g1 * jump))
+        return float(self.load() @ np.asarray(theta, dtype=float))
 
 
 @dataclass
@@ -68,10 +74,89 @@ def _plane_value(planes, e, t, x):
     return v0[e] + v_t[e] * (t - t0[e]) + v_x[e] * (x - x0[e])
 
 
+def _integrand(mesh, layout, u, source, j, points, jets, p, p_x):
+    """Coefficients (s0, s1) of theta and theta' in the shape-derivative
+    integrand at the points (e, t, x, xi) of the elements e, with the kernel
+    jets there: every term of the transported state form differentiated
+    through the pullback kernels, tested with a function of value p and
+    space slope p_x.  u enters through its P1 planes, j being the objective
+    integrand, and nu, nu_prime are the reluctivity law at |u_x|."""
+    e, t, x, xi = points
+    planes = _element_planes(mesh, u.nodal())
+    _, u_t, u_x, _, _ = planes
+    nu, nu_prime = layout.reluctivity(mesh.phases, np.abs(u_x))
+    sigma, nu, nu_prime, u_t, u_x = (
+        a[e] for a in (layout.sigma(mesh.phases), nu, nu_prime, u_t, u_x))
+    f, grad_f = source.values(t, x, xi), source.gradient(t, x, xi)
+    hog = jets.h_over_g
+    du_dt = u_t + jets.vhat * u_x
+    c_m = j(_plane_value(planes, e, t, x)) + sigma * du_dt * p - f * p
+    s0 = c_m * hog
+    s1 = c_m.copy()
+    # transported convection of the state gradient
+    s0 += -sigma * p * jets.vhat * u_x * hog
+    s1 += -sigma * p * jets.vhat * u_x
+    # derivative of the velocity pullback
+    s0 += sigma * p * u_x * jets.W
+    # derivative of the transported time direction
+    s0 += -sigma * p * u_x * (jets.W + jets.H * jets.q)
+    s1 += -sigma * p * u_x * jets.G * jets.q
+    # diffusion tensor derivative, with the nonlinear correction
+    flux = -(nu + nu_prime * np.abs(u_x)) * u_x * p_x
+    s0 += flux * hog
+    s1 += flux
+    # derivative of the source pullback
+    s0 += -p * jets.G * grad_f
+    return s0, s1
+
+
+def _element_rule(mesh, layout, u, source, theta, j, test):
+    """Weighted shape-derivative integrand at the element quadrature points
+    (axis 1) for P1 test functions given by their vertex values test
+    (n_e or 1, 3, k); j is the objective integrand."""
+    geom = mesh_geometry(mesh)
+    spatial_mesh = mesh.spatial_mesh()
+    e = np.arange(mesh.n_elements)[:, None, None]
+    t, x, xi = (a[..., None] for a in (geom.qp_t, geom.qp_x, geom.qp_xi))
+    s0, s1 = _integrand(
+        mesh, layout, u, source, j, (e, t, x, xi), jet1d(mesh.motion, t, xi),
+        np.einsum("qi,eik->eqk", NQ, test),
+        np.einsum("ei,eik->ek", geom.grad_x, test)[:, None, :])
+    weight = (geom.area / 3.0)[:, None, None]
+    return weight * (s0 * spatial_mesh.interpolate(theta, xi)
+                     + s1 * spatial_mesh.interpolate_gradient(theta, xi))
+
+
+def tangent_rhs(mesh, layout, u, source, theta):
+    """Right-hand side of the tangent (material-derivative) problem for the
+    spatial design velocity theta: the derivative integrand without j(u),
+    tested with every P1 basis function."""
+    rule = _element_rule(mesh, layout, u, source, theta, np.zeros_like,
+                         np.eye(3)[None])
+    return _scatter_vector(mesh, u.dofmap, -np.sum(rule, axis=1))
+
+
+def volume_form_pairing(mesh, layout, u, p, source, objective, theta):
+    """Shape derivative J'(theta) evaluated with the element quadrature:
+    the derivative integrand tested with the adjoint p.  Same volume form
+    as the trajectory densities, different quadrature."""
+    test = p.nodal()[mesh.elements][..., None]
+    return float(np.sum(_element_rule(mesh, layout, u, source, theta,
+                                      objective.j, test)))
+
+
+def solve_tangent(mesh, layout, u, source, theta):
+    """Material derivative of the state with respect to the design velocity
+    theta; the right side is linear in theta."""
+    system = LinearSystem(assemble_state_jacobian(mesh, layout, u))
+    rhs = tangent_rhs(mesh, layout, u, source, theta)
+    return Field(u.dofmap, system.solve(rhs))
+
+
 def _trajectory_samples(mesh, xi_c):
     """Both ends of every sub-interval of the trajectories of the reference
-    points xi_c: times, covering elements, reference and physical points
-    (each shaped (n_pts, 2 n_t, 2)), the kernel jets there, and the
+    points xi_c as points (covering element, time, physical and reference
+    point, each shaped (n_pts, 2 n_t, 2)), the kernel jets there, and the
     sub-interval lengths."""
     els, t_nodes = trajectory_intervals(mesh, xi_c)
     t_eval = np.stack([t_nodes[:, :-1], t_nodes[:, 1:]], axis=-1)
@@ -81,7 +166,7 @@ def _trajectory_samples(mesh, xi_c):
                                  xi_eval.ravel()[:, None])[:, 0] \
         .reshape(t_eval.shape)
     jets = jet1d(mesh.motion, t_eval, xi_eval)
-    return t_eval, e_eval, xi_eval, x_eval, jets, np.diff(t_nodes, axis=1)
+    return (e_eval, t_eval, x_eval, xi_eval), jets, np.diff(t_nodes, axis=1)
 
 
 def _trajectory_integral(jets, dt, s):
@@ -98,22 +183,11 @@ def pde_volume_densities(mesh, layout, u, p, source, objective):
     centroid trajectories.
     """
     sm = mesh.spatial_mesh()
-    u_planes = _element_planes(mesh, u.nodal())
     p_planes = _element_planes(mesh, p.nodal())
-    (_, u_t, u_x, _, _), (_, _, p_x, _, _) = u_planes, p_planes
-    nu_e, nu_prime_e = layout.reluctivity(mesh.phases, np.abs(u_x))
-
-    t_eval, e_eval, xi_eval, x_eval, jets, dt = \
-        _trajectory_samples(mesh, sm.centroids)
-
-    s0, s1 = _derivative_integrand(
-        jets, layout.sigma(mesh.phases)[e_eval], nu_e[e_eval],
-        nu_prime_e[e_eval], u_t[e_eval], u_x[e_eval],
-        objective.j(_plane_value(u_planes, e_eval, t_eval, x_eval)),
-        source.values(t_eval, x_eval, xi_eval),
-        source.gradient(t_eval, x_eval, xi_eval),
-        _plane_value(p_planes, e_eval, t_eval, x_eval), p_x[e_eval])
-
+    points, jets, dt = _trajectory_samples(mesh, sm.centroids)
+    e, t, x, _ = points
+    s0, s1 = _integrand(mesh, layout, u, source, objective.j, points, jets,
+                        _plane_value(p_planes, e, t, x), p_planes[2][e])
     return DerivativeDensities(
         g0=_trajectory_integral(jets, dt, s0),
         g1=_trajectory_integral(jets, dt, s1), spatial_mesh=sm)
@@ -127,6 +201,8 @@ def pde_surface_derivative(mesh, layout, u, p):
             "surface form is only available for constant reluctivity laws")
     sm = mesh.spatial_mesh()
     nodes = sm.interface_nodes()
+    if len(nodes) == 0:
+        return InterfaceDensities(nodes, np.zeros(0), np.zeros(0))
     _, u_t, u_x, _, _ = _element_planes(mesh, u.nodal())
     p_planes = _element_planes(mesh, p.nodal())
     _, _, p_x, _, _ = p_planes
@@ -167,17 +243,15 @@ def magnetization_supplement(mesh, magnetization_grad, p, element_mask):
     sm = mesh.spatial_mesh()
     _, _, p_x, _, _ = _element_planes(mesh, p.nodal())
 
-    mask = np.asarray(element_mask, dtype=bool)
-    g0 = np.zeros(sm.n_elements)
-    g1 = np.zeros(sm.n_elements)
-    active = np.nonzero(mask)[0]
+    g0, g1 = np.zeros(sm.n_elements), np.zeros(sm.n_elements)
+    active = np.flatnonzero(np.asarray(element_mask, dtype=bool))
     if len(active) > 0:
-        t_eval, e_eval, _, x_eval, jets, dt = \
-            _trajectory_samples(mesh, sm.centroids[active])
+        (e, t, x, _), jets, dt = _trajectory_samples(mesh,
+                                                     sm.centroids[active])
         # -(m' L + L_1 - Fxx' L) . grad p with L_1 = (grad L) G theta; in 1d
         # m' = Fxx' = (H/G) theta + theta', so m' L and Fxx' L cancel and
         # theta' has no coefficient: g1 stays zero.
-        s0 = -magnetization_grad(t_eval, x_eval) * jets.G * p_x[e_eval]
+        s0 = -magnetization_grad(t, x) * jets.G * p_x[e]
         g0[active] = _trajectory_integral(jets, dt, s0)
     return DerivativeDensities(g0=g0, g1=g1, spatial_mesh=sm)
 

@@ -23,7 +23,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import AssemblyError, NonconvergenceError, SolverError
-from .kernels import jet1d
 from .mesh import NQ, MeshGeometry, mesh_geometry
 
 LINEAR_RESIDUAL_TOL = 1e-12
@@ -418,85 +417,6 @@ def solve_adjoint(state, objective):
         else LinearSystem(system.matrix, factored=system)
     b = -objective_gradient_vector(mesh, u, objective)
     return Field(u.dofmap, system.solve_transpose(b))
-
-
-def _derivative_integrand(jets, sigma, nu, nu_prime, u_t, u_x, ju, f, grad_f,
-                          p, p_x):
-    """Coefficients (s0, s1) of theta and theta' in the shape-derivative
-    integrand at arrays of points: every term of the transported state form
-    differentiated through the pullback kernels, tested with a function of
-    value p and space slope p_x.
-
-    The state enters through its time and space slopes u_t, u_x and j(u);
-    nu and nu_prime are the reluctivity and its derivative at |u_x|.
-    """
-    hog = jets.h_over_g
-    du_dt = u_t + jets.vhat * u_x
-    c_m = ju + sigma * du_dt * p - f * p
-    s0 = c_m * hog
-    s1 = c_m.copy()
-    # transported convection of the state gradient
-    s0 += -sigma * p * jets.vhat * u_x * hog
-    s1 += -sigma * p * jets.vhat * u_x
-    # derivative of the velocity pullback
-    s0 += sigma * p * u_x * jets.W
-    # derivative of the transported time direction
-    s0 += -sigma * p * u_x * (jets.W + jets.H * jets.q)
-    s1 += -sigma * p * u_x * jets.G * jets.q
-    # diffusion tensor derivative, with the nonlinear correction
-    flux = -(nu + nu_prime * np.abs(u_x)) * u_x * p_x
-    s0 += flux * hog
-    s1 += flux
-    # derivative of the source pullback
-    s0 += -p * jets.G * grad_f
-    return s0, s1
-
-
-def _element_rule(mesh, layout, u, source, theta, j, test):
-    """Weighted shape-derivative integrand at the element quadrature points
-    (axis 1) for P1 test functions given by their vertex values test
-    (n_e or 1, 3, k); j is the objective integrand."""
-    geom = mesh_geometry(mesh)
-    spatial_mesh = mesh.spatial_mesh()
-    ue = u.nodal()[mesh.elements]
-    u_t, u_x = _slope(ue, geom.grad_t), _slope(ue, geom.grad_x)
-    nu, nu_prime = layout.reluctivity(mesh.phases, np.abs(u_x))
-    t, x, xi = (a[..., None] for a in (geom.qp_t, geom.qp_x, geom.qp_xi))
-    s0, s1 = _derivative_integrand(
-        jet1d(mesh.motion, t, xi), layout.sigma(mesh.phases)[:, None, None],
-        nu[:, None, None], nu_prime[:, None, None], u_t[:, None, None],
-        u_x[:, None, None], j(ue @ NQ.T)[..., None], source.values(t, x, xi),
-        source.gradient(t, x, xi), np.einsum("qi,eik->eqk", NQ, test),
-        np.einsum("ei,eik->ek", geom.grad_x, test)[:, None, :])
-    weight = (geom.area / 3.0)[:, None, None]
-    return weight * (s0 * spatial_mesh.interpolate(theta, xi)
-                     + s1 * spatial_mesh.interpolate_gradient(theta, xi))
-
-
-def tangent_rhs(mesh, layout, u, source, theta):
-    """Right-hand side of the tangent (material-derivative) problem for the
-    spatial design velocity theta: the derivative integrand without j(u),
-    tested with every P1 basis function."""
-    rule = _element_rule(mesh, layout, u, source, theta, np.zeros_like,
-                         np.eye(3)[None])
-    return _scatter_vector(mesh, u.dofmap, -np.sum(rule, axis=1))
-
-
-def volume_form_pairing(mesh, layout, u, p, source, objective, theta):
-    """Shape derivative J'(theta) evaluated with the element quadrature:
-    the derivative integrand tested with the adjoint p.  Same volume form
-    as the trajectory densities, different quadrature."""
-    test = p.nodal()[mesh.elements][..., None]
-    return float(np.sum(_element_rule(mesh, layout, u, source, theta,
-                                      objective.j, test)))
-
-
-def solve_tangent(mesh, layout, u, source, theta):
-    """Material derivative of the state with respect to the design velocity
-    theta; the right side is linear in theta."""
-    system = LinearSystem(assemble_state_jacobian(mesh, layout, u))
-    rhs = tangent_rhs(mesh, layout, u, source, theta)
-    return Field(u.dofmap, system.solve(rhs))
 
 
 def evaluate_objective(mesh, u, objective):

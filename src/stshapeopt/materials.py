@@ -124,19 +124,28 @@ class PhaseLayout:
 
     materials: dict
 
+    def _masks(self, phases):
+        """(material, element mask) of every phase some element has, in
+        `materials` order; MaterialError if an element's phase has none."""
+        phases = np.asarray(phases)
+        masks = [(mat, phases == pid) for pid, mat in self.materials.items()]
+        masks = [(mat, mask) for mat, mask in masks if np.any(mask)]
+        if sum(np.count_nonzero(mask) for _, mask in masks) != phases.size:
+            missing = np.setdiff1d(phases, list(self.materials))
+            raise MaterialError(f"no material for phase {missing.tolist()}")
+        return masks
+
     def sigma(self, phases):
         out = np.empty(len(phases))
-        for pid, mat in self.materials.items():
-            out[np.asarray(phases) == pid] = mat.sigma
+        for mat, mask in self._masks(phases):
+            out[mask] = mat.sigma
         return out
 
     def reluctivity(self, phases, s):
         """(nu, nu') per element: each phase's law at its elements' s."""
         nu, nu_prime = np.empty_like(s), np.empty_like(s)
-        for pid, mat in self.materials.items():
-            mask = phases == pid
-            if np.any(mask):
-                nu[mask], nu_prime[mask] = mat.nu.eval(s[mask])
+        for mat, mask in self._masks(phases):
+            nu[mask], nu_prime[mask] = mat.nu.eval(s[mask])
         return nu, nu_prime
 
     @property

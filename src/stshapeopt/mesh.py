@@ -250,13 +250,16 @@ def deform_mesh(mesh, theta, tau):
 
     ``theta`` holds one displacement per spatial node; connectivity, phase
     labels and the periodic pairing are unchanged.  Raises GeometryError if it
-    moves the design boundary, InvertedElementError if it flips an element.
+    moves a node to a non-finite place or the design boundary, and
+    InvertedElementError if it flips an element.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != mesh.xi_nodes.shape:
         raise GeometryError(f"deformation has {theta.shape[0]} nodes, mesh "
                             f"has {mesh.xi_nodes.shape[0]}")
     new_xi_nodes = mesh.xi_nodes + tau * theta
+    if not np.all(np.isfinite(new_xi_nodes)):
+        raise GeometryError("deformation gives a non-finite node")
     if np.any(new_xi_nodes[[0, -1]] != mesh.xi_nodes[[0, -1]]):
         raise GeometryError("deformation moves the design boundary")
     t_v = mesh.vertices[:, 0]

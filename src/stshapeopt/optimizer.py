@@ -75,12 +75,10 @@ class OptimizationReport:
 
 def _inner_product_matrix(spatial_mesh, config):
     h = spatial_mesh.widths
-    n = len(spatial_mesh.nodes)
-    main = np.zeros(n)
-    off = np.zeros(n - 1)
+    main = np.zeros(len(spatial_mesh.nodes))
     main[:-1] += config.alpha / h + config.beta * h / 3.0
     main[1:] += config.alpha / h + config.beta * h / 3.0
-    off += -config.alpha / h + config.beta * h / 6.0
+    off = -config.alpha / h + config.beta * h / 6.0
     return sp.diags([off, main, off], offsets=[-1, 0, 1], format="csc")
 
 
@@ -88,15 +86,10 @@ def hilbertian_direction(densities, config):
     """Solve b(theta, eta) = J'(eta) on the densities' spatial mesh and
     return (-theta, sqrt(b(theta, theta))); the returned direction makes
     the pairing nonpositive by construction."""
-    h = densities.spatial_mesh.widths
-    n = len(h) + 1
-    load = np.zeros(n)
-    load[:-1] += 0.5 * h * densities.g0 - densities.g1
-    load[1:] += 0.5 * h * densities.g0 + densities.g1
-
+    load = densities.load()
     matrix = _inner_product_matrix(densities.spatial_mesh, config)
-    interior = slice(1, n - 1)
-    theta = np.zeros(n)
+    interior = slice(1, -1)
+    theta = np.zeros_like(load)
     theta[interior] = spla.spsolve(matrix[interior, interior],
                                    load[interior])
     norm = float(np.sqrt(max(theta @ (matrix @ theta), 0.0)))

@@ -258,6 +258,20 @@ def test_surface_density_zero_without_jumps():
     assert np.max(np.abs(iface.values)) < 1e-12
 
 
+def test_surface_form_without_interfaces_is_empty():
+    # the layout holds only the phase the mesh has, so no interface
+    # material is read
+    motion = Polynomial1D()
+    layout = PhaseLayout({2: PhaseMaterial(2.0, ConstantReluctivity(3.0))})
+    mesh = generate_mesh(8, 8, (), motion)
+    source = AnalyticSource("sqrt(x)*(1+t-x)", motion)
+    state = solve_state(mesh, layout, source)
+    p = solve_adjoint(state, objective_u())
+    iface = pde_surface_derivative(mesh, layout, state.u, p)
+    assert iface.node_ids.size == iface.values.size == 0
+    assert iface.pairing(theta_bump(mesh.spatial_mesh())) == 0.0
+
+
 def test_surface_form_requires_constant_laws():
     mesh, layout, source, objective = nonlinear_problem(8)
     state = solve_state(mesh, layout, source)

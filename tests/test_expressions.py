@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stshapeopt import AnalyticSource, Identity
+from stshapeopt import AnalyticSource, Identity, Polynomial1D
 from stshapeopt.errors import StshapeoptError
 from stshapeopt.expressions import Expression, ExpressionError
 
@@ -24,6 +24,24 @@ def test_vectorized_evaluation():
     vals = e(t=0.25, x=x, xref=x)
     expected = (x - 0.4) * (x - 0.6) * np.sqrt(x) * (1.25 - x)
     assert np.allclose(vals, expected, atol=1e-15)
+
+
+def test_source_gradient_differentiates_through_the_preimage():
+    # xref = phi_t^{-1}(x) moves with x, so the spatial gradient is
+    # df/dx + (df/dxref) / phi_t'(xref); checked by central differences of
+    # values(t, x +- h, phi_t^{-1}(x +- h)) at points inside phi_t([0, 1])
+    motion = Polynomial1D()
+    source = AnalyticSource("(xref-0.4)*(xref-0.6)*sqrt(x)*(1+t-x)", motion)
+    t, xi = (a.ravel() for a in np.meshgrid(np.linspace(0.0, 1.0, 5),
+                                            np.linspace(0.05, 0.95, 7)))
+    x = motion.forward(t, xi[:, None])[:, 0]
+    h = 1e-6
+
+    def f(y):
+        return source.values(t, y, motion.inverse(t, y[:, None])[:, 0])
+
+    fd = (f(x + h) - f(x - h)) / (2.0 * h)
+    assert np.max(np.abs(source.gradient(t, x, xi) - fd)) < 1e-8
 
 
 @pytest.mark.parametrize("text", [

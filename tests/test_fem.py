@@ -17,12 +17,12 @@ from stshapeopt import (CallableSource, ConstantReluctivity, Identity,
                         evaluate_objective, generate_mesh, solve_adjoint,
                         solve_state, solve_tangent)
 from stshapeopt import fem
+from stshapeopt.derivative import tangent_rhs, volume_form_pairing
 from stshapeopt.errors import AssemblyError, NonconvergenceError, SolverError
 from stshapeopt.fem import (LU_PANEL_SIZE, LU_RELAX, NQ, DofMap, Field,
                             LinearSystem, NewtonOptions,
                             _residual_local, element_geometry,
-                            objective_gradient_vector, tangent_rhs,
-                            volume_form_pairing)
+                            objective_gradient_vector)
 
 RNG = np.random.default_rng(23)
 

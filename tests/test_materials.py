@@ -4,7 +4,7 @@ import pytest
 from helpers import annulus_mesh, gauss_rule
 from stshapeopt import (ConstantReluctivity, PhaseLayout, PhaseMaterial,
                         ReluctivityCurve, arkkio_q, arkkio_torque)
-from stshapeopt.errors import GeometryError
+from stshapeopt.errors import GeometryError, MaterialError
 
 # ferromagnetic curve of the motor benchmark
 NU_A = 1e7 / (4.0 * np.pi)
@@ -114,6 +114,17 @@ def test_layout_reluctivity_is_each_phase_law(phases):
         expected = law.eval(s[mask])
         assert np.array_equal(nu[mask], expected[0])
         assert np.array_equal(nu_prime[mask], expected[1])
+
+
+def test_layout_raises_for_a_phase_without_material():
+    # an element whose phase has no material must not read unset memory
+    layout = PhaseLayout({2: PhaseMaterial(2.0, ConstantReluctivity(1.0))})
+    phases = np.array([1, 2, 1, 2])
+    with pytest.raises(MaterialError, match=r"phase \[1\]"):
+        layout.sigma(phases)
+    with pytest.raises(MaterialError, match=r"phase \[1\]"):
+        layout.reluctivity(phases, np.ones(4))
+    assert np.array_equal(layout.sigma(phases[1::2]), [2.0, 2.0])
 
 
 def test_torque_weight_examples():

@@ -120,6 +120,15 @@ def test_deformation_that_moves_the_design_boundary_raises(end):
         deform_mesh(mesh, theta, 0.01)
 
 
+def test_deformation_to_a_non_finite_node_raises():
+    # a NaN node compares False with every bound, so no area check sees it
+    mesh = generate_mesh(8, 6, (0.4, 0.6), Polynomial1D())
+    theta = np.zeros(9)
+    theta[4] = np.nan
+    with pytest.raises(GeometryError, match="non-finite"):
+        deform_mesh(mesh, theta, 0.01)
+
+
 def test_vertical_line_crosses_two_triangles_per_slab():
     mesh = generate_mesh(10, 6, (0.4, 0.6), Identity(dim=1))
     els, t_nodes = trajectory_intervals(mesh, np.array([0.512]))

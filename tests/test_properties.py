@@ -10,10 +10,10 @@ from helpers import (PAPER_INTERFACES, coo_jacobian, identity_problem,
                      periodic_pairs, same_csc)
 from stshapeopt import (CustomMotion, Polynomial1D, Rotation2D, deform_mesh,
                         generate_mesh)
-from stshapeopt.derivative import pde_volume_densities
+from stshapeopt.derivative import (pde_volume_densities, solve_tangent,
+                                   tangent_rhs, volume_form_pairing)
 from stshapeopt.fem import (DofMap, Field, objective_gradient_vector,
-                            solve_adjoint, solve_state, solve_tangent,
-                            tangent_rhs, volume_form_pairing)
+                            solve_adjoint, solve_state)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 PROBLEMS = st.sampled_from([moving_interface_problem, nonlinear_problem])

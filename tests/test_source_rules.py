@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 import stshapeopt
-from stshapeopt import errors
+from stshapeopt import derivative, errors, fem
 
 PACKAGE = Path(stshapeopt.__file__).parent
 
@@ -124,3 +124,18 @@ def test_module_functions_read_every_parameter():
             found += [f"{path.name}:{node.name}.{p}" for p in params
                       if p not in names]
     assert found == []
+
+
+def test_fem_holds_no_shape_derivative_form():
+    # fem holds the state, the adjoint, the objective and the linear
+    # algebra; every shape-derivative form, and every use of the pullback
+    # kernels, lives in derivative, with no re-exported name left in fem
+    tree = ast.parse((PACKAGE / "fem.py").read_text())
+    imported = [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert "kernels" not in imported
+    forms = ("tangent_rhs", "volume_form_pairing", "solve_tangent",
+             "_element_rule", "_derivative_integrand", "_integrand", "jet1d")
+    assert [name for name in forms if hasattr(fem, name)] == []
+    assert stshapeopt.solve_tangent is derivative.solve_tangent
+    assert stshapeopt.volume_form_pairing is derivative.volume_form_pairing

@@ -111,15 +111,13 @@ def cmd_check_gradient(cfg, args):
     state = solve_state(mesh, layout, source)
     adjoint = solve_adjoint(state, objective)
     theta = _theta_nodes(cfg, mesh.spatial_mesh())
-    adjoint_value = volume_form_pairing(mesh, layout, state.u, adjoint,
-                                        source, objective, theta)
+    adjoint_value = volume_form_pairing(state, adjoint, objective, theta)
 
     print(f"{'eps':>12} {'fd':>22} {'adjoint':>22} {'rel.error':>12}")
     errors = []
     scale = max(abs(adjoint_value), 1e-300)
     for eps in eps_values:
-        fd = fd_objective_derivative(mesh, layout, source, objective, theta,
-                                     eps, base_solution=state)
+        fd = fd_objective_derivative(state, objective, theta, eps)
         rel = abs(fd - adjoint_value) / scale
         errors.append(rel)
         print(f"{eps:12.3e} {fd:22.12e} {adjoint_value:22.12e} {rel:12.3e}")

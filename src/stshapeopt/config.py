@@ -172,8 +172,8 @@ def _reluctivity(text):
                       "'curve <nu_a> <c1> <c2> <c3>'")
 
 
-_MATERIAL_KEYS = {"sigma": _checked(float, lambda s: s >= 0,
-                                    "conductivity must be >= 0"),
+# PhaseMaterial states the conductivity rule; nu is read by its own key.
+_MATERIAL_KEYS = {"sigma": lambda text: PhaseMaterial(float(text), None).sigma,
                   "nu": _reluctivity}
 
 

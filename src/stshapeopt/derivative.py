@@ -74,7 +74,7 @@ def _plane_value(planes, e, t, x):
     return v0[e] + v_t[e] * (t - t0[e]) + v_x[e] * (x - x0[e])
 
 
-def _integrand(mesh, layout, u, source, j, points, jets, p, p_x):
+def _integrand(state, j, points, jets, p, p_x):
     """Coefficients (s0, s1) of theta and theta' in the shape-derivative
     integrand at the points (e, t, x, xi) of the elements e, with the kernel
     jets there: every term of the transported state form differentiated
@@ -82,7 +82,8 @@ def _integrand(mesh, layout, u, source, j, points, jets, p, p_x):
     space slope p_x.  u enters through its P1 planes, j being the objective
     integrand, and nu, nu_prime are the reluctivity law at |u_x|."""
     e, t, x, xi = points
-    planes = _element_planes(mesh, u.nodal())
+    mesh, layout, source = state.mesh, state.layout, state.source
+    planes = _element_planes(mesh, state.u.nodal())
     _, u_t, u_x, _, _ = planes
     nu, nu_prime = layout.reluctivity(mesh.phases, np.abs(u_x))
     sigma, nu, nu_prime, u_t, u_x = (
@@ -110,16 +111,17 @@ def _integrand(mesh, layout, u, source, j, points, jets, p, p_x):
     return s0, s1
 
 
-def _element_rule(mesh, layout, u, source, theta, j, test):
+def _element_rule(state, theta, j, test):
     """Weighted shape-derivative integrand at the element quadrature points
     (axis 1) for P1 test functions given by their vertex values test
     (n_e or 1, 3, k); j is the objective integrand."""
+    mesh = state.mesh
     geom = mesh_geometry(mesh)
     spatial_mesh = mesh.spatial_mesh()
     e = np.arange(mesh.n_elements)[:, None, None]
     t, x, xi = (a[..., None] for a in (geom.qp_t, geom.qp_x, geom.qp_xi))
     s0, s1 = _integrand(
-        mesh, layout, u, source, j, (e, t, x, xi), jet1d(mesh.motion, t, xi),
+        state, j, (e, t, x, xi), jet1d(mesh.motion, t, xi),
         np.einsum("qi,eik->eqk", NQ, test),
         np.einsum("ei,eik->ek", geom.grad_x, test)[:, None, :])
     weight = (geom.area / 3.0)[:, None, None]
@@ -127,30 +129,28 @@ def _element_rule(mesh, layout, u, source, theta, j, test):
                      + s1 * spatial_mesh.interpolate_gradient(theta, xi))
 
 
-def tangent_rhs(mesh, layout, u, source, theta):
+def tangent_rhs(state, theta):
     """Right-hand side of the tangent (material-derivative) problem for the
     spatial design velocity theta: the derivative integrand without j(u),
     tested with every P1 basis function."""
-    rule = _element_rule(mesh, layout, u, source, theta, np.zeros_like,
-                         np.eye(3)[None])
-    return _scatter_vector(mesh, u.dofmap, -np.sum(rule, axis=1))
+    rule = _element_rule(state, theta, np.zeros_like, np.eye(3)[None])
+    return _scatter_vector(state.mesh, state.u.dofmap, -np.sum(rule, axis=1))
 
 
-def volume_form_pairing(mesh, layout, u, p, source, objective, theta):
+def volume_form_pairing(state, p, objective, theta):
     """Shape derivative J'(theta) evaluated with the element quadrature:
     the derivative integrand tested with the adjoint p.  Same volume form
     as the trajectory densities, different quadrature."""
-    test = p.nodal()[mesh.elements][..., None]
-    return float(np.sum(_element_rule(mesh, layout, u, source, theta,
-                                      objective.j, test)))
+    test = p.nodal()[state.mesh.elements][..., None]
+    return float(np.sum(_element_rule(state, theta, objective.j, test)))
 
 
-def solve_tangent(mesh, layout, u, source, theta):
+def solve_tangent(state, theta):
     """Material derivative of the state with respect to the design velocity
     theta; the right side is linear in theta."""
-    system = LinearSystem(assemble_state_jacobian(mesh, layout, u))
-    rhs = tangent_rhs(mesh, layout, u, source, theta)
-    return Field(u.dofmap, system.solve(rhs))
+    system = LinearSystem(assemble_state_jacobian(state.mesh, state.layout,
+                                                  state.u))
+    return Field(state.u.dofmap, system.solve(tangent_rhs(state, theta)))
 
 
 def _trajectory_samples(mesh, xi_c):
@@ -175,27 +175,29 @@ def _trajectory_integral(jets, dt, s):
     return np.sum(0.5 * dt * (weighted[..., 0] + weighted[..., 1]), axis=1)
 
 
-def pde_volume_densities(mesh, layout, u, p, source, objective):
+def pde_volume_densities(state, p, objective):
     """Volume-form densities of the PDE-constrained objective.
 
     Integrates the (theta, theta') coefficients of the shape-derivative
     integrand, nonlinear reluctivity correction included, along the
     centroid trajectories.
     """
+    mesh = state.mesh
     sm = mesh.spatial_mesh()
     p_planes = _element_planes(mesh, p.nodal())
     points, jets, dt = _trajectory_samples(mesh, sm.centroids)
     e, t, x, _ = points
-    s0, s1 = _integrand(mesh, layout, u, source, objective.j, points, jets,
+    s0, s1 = _integrand(state, objective.j, points, jets,
                         _plane_value(p_planes, e, t, x), p_planes[2][e])
     return DerivativeDensities(
         g0=_trajectory_integral(jets, dt, s0),
         g1=_trajectory_integral(jets, dt, s1), spatial_mesh=sm)
 
 
-def pde_surface_derivative(mesh, layout, u, p):
+def pde_surface_derivative(state, p):
     """Interface density of the derivative in the piecewise-constant
     reluctivity case; one-sided interface values are averaged."""
+    mesh, layout = state.mesh, state.layout
     if not layout.all_constant:
         raise UnsupportedCaseError(
             "surface form is only available for constant reluctivity laws")
@@ -203,7 +205,7 @@ def pde_surface_derivative(mesh, layout, u, p):
     nodes = sm.interface_nodes()
     if len(nodes) == 0:
         return InterfaceDensities(nodes, np.zeros(0), np.zeros(0))
-    _, u_t, u_x, _, _ = _element_planes(mesh, u.nodal())
+    _, u_t, u_x, _, _ = _element_planes(mesh, state.u.nodal())
     p_planes = _element_planes(mesh, p.nodal())
     _, _, p_x, _, _ = p_planes
     nu = layout.reluctivity(mesh.phases, np.abs(u_x))[0]
@@ -355,15 +357,11 @@ def academic_surface_derivative_polyline(motion, f_value, theta_fn, vertices,
     return total
 
 
-def fd_objective_derivative(mesh, layout, source, objective, theta, eps,
-                            base_solution=None):
+def fd_objective_derivative(state, objective, theta, eps):
     """One-sided finite difference of the objective under the design
     deformation eps * theta, re-solving the state on the deformed mesh."""
-    if base_solution is None:
-        base_solution = solve_state(mesh, layout, source)
-    j_base = evaluate_objective(mesh, base_solution.u, objective)
-    trial_mesh = deform_mesh(mesh, theta, eps)
-    trial = solve_state(trial_mesh, layout, source,
-                        initial_guess=base_solution.u)
-    j_trial = evaluate_objective(trial_mesh, trial.u, objective)
-    return (j_trial - j_base) / eps
+    trial_mesh = deform_mesh(state.mesh, theta, eps)
+    trial = solve_state(trial_mesh, state.layout, state.source,
+                        initial_guess=state.u)
+    return (evaluate_objective(trial_mesh, trial.u, objective)
+            - evaluate_objective(state.mesh, state.u, objective)) / eps

@@ -34,8 +34,8 @@ class ConstantReluctivity:
     value: float
 
     def __post_init__(self):
-        if self.value <= 0:
-            raise MaterialError(f"reluctivity must be positive, "
+        if not 0 < self.value < np.inf:
+            raise MaterialError(f"reluctivity must be positive and finite, "
                                 f"got {self.value}")
 
     @property
@@ -66,12 +66,13 @@ class ReluctivityCurve:
     c3: float
 
     def __post_init__(self):
-        if not (0 < self.c1 < self.nu_a):
-            raise MaterialError("curve requires 0 < c1 < nu_a")
-        if self.c2 <= 0:
-            raise MaterialError("curve requires c2 > 0")
-        if self.c3 < 2:
-            raise MaterialError("curve exponent c3 below 2 is not supported")
+        if not 0 < self.c1 < self.nu_a < np.inf:
+            raise MaterialError("curve requires 0 < c1 < nu_a < inf")
+        if not 0 < self.c2 < np.inf:
+            raise MaterialError("curve requires 0 < c2 < inf")
+        if not 2 <= self.c3 < np.inf:
+            raise MaterialError("curve exponent c3 must be finite and at "
+                                "least 2")
 
     @property
     def nu_lower(self):
@@ -114,8 +115,9 @@ class PhaseMaterial:
     nu: object
 
     def __post_init__(self):
-        if not self.sigma >= 0:
-            raise MaterialError(f"conductivity must be >= 0, got {self.sigma}")
+        if not 0 <= self.sigma < np.inf:
+            raise MaterialError(f"conductivity must be finite and >= 0, "
+                                f"got {self.sigma}")
 
 
 @dataclass(frozen=True)

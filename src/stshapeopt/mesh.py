@@ -255,8 +255,8 @@ def deform_mesh(mesh, theta, tau):
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != mesh.xi_nodes.shape:
-        raise GeometryError(f"deformation has {theta.shape[0]} nodes, mesh "
-                            f"has {mesh.xi_nodes.shape[0]}")
+        raise GeometryError(f"deformation has shape {theta.shape}, mesh "
+                            f"nodes have shape {mesh.xi_nodes.shape}")
     new_xi_nodes = mesh.xi_nodes + tau * theta
     if not np.all(np.isfinite(new_xi_nodes)):
         raise GeometryError("deformation gives a non-finite node")

@@ -48,9 +48,10 @@ class DescentConfig:
         if self.alpha <= 0.0:
             raise ConfigError(f"descent weight alpha must be positive, "
                               f"got {self.alpha}")
-        if self.beta < 0.0:
-            raise ConfigError(f"descent weight beta must be nonnegative, "
-                              f"got {self.beta}")
+        for name in ("beta", "tau_min", "theta_tol"):
+            if getattr(self, name) < 0.0:
+                raise ConfigError(f"descent {name} must be nonnegative, "
+                                  f"got {getattr(self, name)}")
         if not self.tau_min < self.tau_init:
             raise ConfigError("descent needs tau_min < tau_init")
 
@@ -68,9 +69,12 @@ class IterationRecord:
 class OptimizationReport:
     records: list
     termination: str
-    mesh: object
     state: object
     objective_value: float
+
+    @property
+    def mesh(self):
+        return self.state.mesh
 
 
 def _inner_product_matrix(spatial_mesh, config):
@@ -104,20 +108,19 @@ class LineSearchResult:
     trials: int
 
 
-def line_search(mesh, layout, source, objective, state, j_current,
-                direction, tau0, config):
+def line_search(state, objective, j_current, direction, tau0, config):
     """First step halving of tau0 that decreases the objective on a valid
-    mesh; every candidate re-solves the state.  A step that inverts an
-    element or whose state solve fails is rejected like one that does not
-    decrease the objective.  Returns None when tau falls below tau_min or
-    the halving budget is exhausted."""
+    deformation of the state's mesh; every candidate re-solves the state
+    from it.  A step that inverts an element or whose state solve fails is
+    rejected like one that does not decrease the objective.  Returns None
+    when tau falls below tau_min or the halving budget is exhausted."""
     tau = tau0
     for trial_count in range(config.max_halvings):
         if tau < config.tau_min:
             return None
         try:
-            trial_mesh = deform_mesh(mesh, direction, tau)
-            trial = solve_state(trial_mesh, layout, source,
+            trial_mesh = deform_mesh(state.mesh, direction, tau)
+            trial = solve_state(trial_mesh, state.layout, state.source,
                                 initial_guess=state.u)
         except (InvertedElementError, SolverError):
             tau *= 0.5
@@ -152,8 +155,7 @@ def optimize(mesh, layout, source, objective, config, callback=None):
 
     for n in range(config.max_outer):
         adjoint = solve_adjoint(state, objective)
-        densities = pde_volume_densities(mesh, layout, state.u, adjoint,
-                                         source, objective)
+        densities = pde_volume_densities(state, adjoint, objective)
         direction, norm = hilbertian_direction(densities, config)
         # by construction the pairing equals -b(theta, theta)
         pairing = densities.pairing(direction)
@@ -164,10 +166,9 @@ def optimize(mesh, layout, source, objective, config, callback=None):
         if norm <= config.theta_tol:
             termination = "theta_tolerance"
             break
-        tau0 = config.tau_init if n == 0 else min(2.0 * tau_prev,
-                                                  config.tau_init)
-        result = line_search(mesh, layout, source, objective, state,
-                             j_value, direction, tau0, config)
+        tau0 = min(2.0 * tau_prev, config.tau_init)
+        result = line_search(state, objective, j_value, direction, tau0,
+                             config)
         if result is None:
             termination = "line_search_failure"
             break
@@ -176,7 +177,6 @@ def optimize(mesh, layout, source, objective, config, callback=None):
         if callback is not None:
             callback(n, result)
         state = result.state
-        mesh = state.mesh
         j_value = result.objective_value
         tau_prev = result.tau
     else:
@@ -186,7 +186,7 @@ def optimize(mesh, layout, source, objective, config, callback=None):
                                    state.iterations))
 
     return OptimizationReport(
-        records=records, termination=termination, mesh=mesh, state=state,
+        records=records, termination=termination, state=state,
         objective_value=j_value)
 
 

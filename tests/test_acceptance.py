@@ -159,8 +159,7 @@ def test_criterion_2_gradient_correctness():
         adjoint = solve_adjoint(state, objective)
         sm = mesh.spatial_mesh()
         theta = theta_bump(sm)
-        value = volume_form_pairing(mesh, layout, state.u, adjoint, source,
-                                    objective, theta)
+        value = volume_form_pairing(state, adjoint, objective, theta)
         # Without motion the discrete derivative has no O(h) defect, so a
         # central difference converges at second order there.  A one-sided
         # order tends to exactly 1, where roundoff would decide the clause.
@@ -169,12 +168,10 @@ def test_criterion_2_gradient_correctness():
         central = name == "static-control"
         errors = []
         for eps in (1e-2, 1e-3, 1e-4, 1e-5):
-            fd = fd_objective_derivative(mesh, layout, source, objective,
-                                         theta, eps, base_solution=state)
+            fd = fd_objective_derivative(state, objective, theta, eps)
             if central:
-                fd = (fd + fd_objective_derivative(
-                    mesh, layout, source, objective, theta, -eps,
-                    base_solution=state)) / 2.0
+                fd = (fd + fd_objective_derivative(state, objective, theta,
+                                                   -eps)) / 2.0
             errors.append(abs(fd - value) / abs(value))
         orders = [np.log10(errors[k] / errors[k + 1]) for k in range(3)]
         good = max(orders) >= (1.9 if central else 1.0) \
@@ -207,9 +204,8 @@ def test_criterion_3_form_equivalence():
         state = solve_state(mesh, layout, source)
         adjoint = solve_adjoint(state, objective)
         sm = mesh.spatial_mesh()
-        iface = pde_surface_derivative(mesh, layout, state.u, adjoint)
-        dens = pde_volume_densities(mesh, layout, state.u, adjoint, source,
-                                    objective)
+        iface = pde_surface_derivative(state, adjoint)
+        dens = pde_volume_densities(state, adjoint, objective)
         for node in iface.node_ids:
             hat = np.zeros(len(sm.nodes))
             hat[node] = 1.0

@@ -102,6 +102,9 @@ MINIMAL_MATERIALS = ("[materials]\nphase 1 sigma = 1\n"
     ("interfaces = 0.4 0.6", "interfaces = 0.4 1.5"),
     ("interfaces = 0.4 0.6", "interfaces = 0.4 nan"),
     ("phase 1 sigma = 10.0", "phase 1 sigma = nan"),
+    ("phase 1 sigma = 10.0", "phase 1 sigma = inf"),
+    ("phase 1 nu = constant 1.0", "phase 1 nu = constant nan"),
+    ("phase 1 nu = constant 1.0", "phase 1 nu = curve 10 1 inf 2"),
     ("alpha = 0.5", "alpha = 0"),
     ("alpha = 0.5", "alpha = nan"),
     ("alpha = 0.5", "alpha = inf"),
@@ -109,6 +112,8 @@ MINIMAL_MATERIALS = ("[materials]\nphase 1 sigma = 1\n"
     ("max_outer = 2", "max_outer = -3"),
     ("theta_tol = 1e-9", "max_halvings = -1"),
     ("theta_tol = 1e-9", "tau_min = 1000"),
+    ("theta_tol = 1e-9", "tau_min = -1"),
+    ("theta_tol = 1e-9", "theta_tol = -1e-9"),
     ("theta_tol = 1e-9", "cauchy_riemann = true"),
     ("eps = 1e-2 1e-3 1e-4", "eps = 1e-2 0"),
     ("eps = 1e-2 1e-3 1e-4", "eps ="),

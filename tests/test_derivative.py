@@ -149,11 +149,11 @@ def test_academic_surface_density_polynomial_value():
 
 def test_trivial_densities_vanish():
     mesh, layout, _, _ = moving_interface_problem(8)
-    u = Field.zeros(DofMap.from_mesh(mesh))
+    state = solve_state(mesh, layout, ZeroSource())
     p = Field.zeros(DofMap.from_mesh(mesh))
     zero_obj = Objective(j=lambda v: np.zeros_like(v),
                          jprime=lambda v: np.zeros_like(v))
-    dens = pde_volume_densities(mesh, layout, u, p, ZeroSource(), zero_obj)
+    dens = pde_volume_densities(state, p, zero_obj)
     assert np.all(dens.g0 == 0.0) and np.all(dens.g1 == 0.0)
 
 
@@ -164,7 +164,7 @@ def test_densities_match_direct_kernel_evaluation(builder):
     mesh, layout, source, objective = builder(12, 10)
     state = solve_state(mesh, layout, source)
     p = solve_adjoint(state, objective)
-    dens = pde_volume_densities(mesh, layout, state.u, p, source, objective)
+    dens = pde_volume_densities(state, p, objective)
     for _ in range(5):
         theta = random_theta(13)
         a = dens.pairing(theta)
@@ -177,7 +177,7 @@ def test_density_pairing_is_linear_in_theta():
     mesh, layout, source, objective = moving_interface_problem(10)
     state = solve_state(mesh, layout, source)
     p = solve_adjoint(state, objective)
-    dens = pde_volume_densities(mesh, layout, state.u, p, source, objective)
+    dens = pde_volume_densities(state, p, objective)
     t1, t2 = random_theta(11), random_theta(11)
     lhs = dens.pairing(2.5 * t1 - 1.5 * t2)
     rhs = 2.5 * dens.pairing(t1) - 1.5 * dens.pairing(t2)
@@ -192,10 +192,8 @@ def test_densities_agree_with_element_rule_pairing_under_refinement():
         p = solve_adjoint(state, objective)
         sm = mesh.spatial_mesh()
         theta = theta_bump(sm)
-        a = pde_volume_densities(mesh, layout, state.u, p, source,
-                                 objective).pairing(theta)
-        b = volume_form_pairing(mesh, layout, state.u, p, source, objective,
-                                theta)
+        a = pde_volume_densities(state, p, objective).pairing(theta)
+        b = volume_form_pairing(state, p, objective, theta)
         rel.append(abs(a - b) / abs(b))
     assert rel[1] < 0.35 * rel[0]    # second-order gap between quadratures
     assert rel[1] < 2e-2
@@ -212,13 +210,11 @@ def test_adjoint_derivative_matches_shape_fd(builder, n, best_tol):
     p = solve_adjoint(state, objective)
     sm = mesh.spatial_mesh()
     theta = theta_bump(sm)
-    adjoint_value = volume_form_pairing(mesh, layout, state.u, p, source,
-                                        objective, theta)
+    adjoint_value = volume_form_pairing(state, p, objective, theta)
     eps_values = (1e-2, 1e-3, 1e-4, 1e-5)
     errors = []
     for eps in eps_values:
-        fd = fd_objective_derivative(mesh, layout, source, objective, theta,
-                                     eps, base_solution=state)
+        fd = fd_objective_derivative(state, objective, theta, eps)
         errors.append(abs(fd - adjoint_value) / abs(adjoint_value))
     orders = [np.log10(errors[k] / errors[k + 1]) for k in range(3)]
     assert max(orders) >= 1.0
@@ -230,12 +226,10 @@ def test_density_route_first_order_in_eps_before_floor():
     state = solve_state(mesh, layout, source)
     p = solve_adjoint(state, objective)
     theta = theta_bump(mesh.spatial_mesh())
-    value = pde_volume_densities(mesh, layout, state.u, p, source,
-                                 objective).pairing(theta)
+    value = pde_volume_densities(state, p, objective).pairing(theta)
     errors = []
     for eps in (3e-2, 1e-2, 3e-3, 1e-3):
-        fd = fd_objective_derivative(mesh, layout, source, objective, theta,
-                                     eps, base_solution=state)
+        fd = fd_objective_derivative(state, objective, theta, eps)
         errors.append(abs(fd - value) / abs(value))
     orders = np.log(np.array(errors[:-1]) / errors[1:]) / np.log(3.0)
     assert np.max(orders) >= 1.0
@@ -254,7 +248,7 @@ def test_surface_density_zero_without_jumps():
     source = AnalyticSource("(xref-0.4)*(xref-0.6)*sqrt(x)*(1+t-x)", motion)
     state = solve_state(mesh, layout, source)
     p = solve_adjoint(state, objective_u())
-    iface = pde_surface_derivative(mesh, layout, state.u, p)
+    iface = pde_surface_derivative(state, p)
     assert np.max(np.abs(iface.values)) < 1e-12
 
 
@@ -267,7 +261,7 @@ def test_surface_form_without_interfaces_is_empty():
     source = AnalyticSource("sqrt(x)*(1+t-x)", motion)
     state = solve_state(mesh, layout, source)
     p = solve_adjoint(state, objective_u())
-    iface = pde_surface_derivative(mesh, layout, state.u, p)
+    iface = pde_surface_derivative(state, p)
     assert iface.node_ids.size == iface.values.size == 0
     assert iface.pairing(theta_bump(mesh.spatial_mesh())) == 0.0
 
@@ -277,7 +271,7 @@ def test_surface_form_requires_constant_laws():
     state = solve_state(mesh, layout, source)
     p = solve_adjoint(state, objective)
     with pytest.raises(UnsupportedCaseError):
-        pde_surface_derivative(mesh, layout, state.u, p)
+        pde_surface_derivative(state, p)
 
 
 def test_densities_build_no_element_geometry(monkeypatch):
@@ -293,8 +287,8 @@ def test_densities_build_no_element_geometry(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(ElementGeometry, "__init__", counted)
-    pde_volume_densities(mesh, layout, state.u, p, source, objective)
-    pde_surface_derivative(mesh, layout, state.u, p)
+    pde_volume_densities(state, p, objective)
+    pde_surface_derivative(state, p)
     assert built == []
 
 
@@ -305,7 +299,7 @@ def test_surface_form_reads_the_elements_beside_each_interface_edge():
     mesh, layout, source, objective = moving_interface_problem(16)
     state = solve_state(mesh, layout, source)
     p = solve_adjoint(state, objective)
-    iface = pde_surface_derivative(mesh, layout, state.u, p)
+    iface = pde_surface_derivative(state, p)
     u_nodal, p_nodal = state.u.nodal(), p.nodal()
     mat_in, mat_out = layout.materials[1], layout.materials[2]
     sigma_jump = mat_out.sigma - mat_in.sigma
@@ -385,9 +379,8 @@ def test_surface_and_volume_forms_agree_near_interface(motion_builder):
         state = solve_state(mesh, layout, source)
         p = solve_adjoint(state, objective)
         sm = mesh.spatial_mesh()
-        iface = pde_surface_derivative(mesh, layout, state.u, p)
-        dens = pde_volume_densities(mesh, layout, state.u, p, source,
-                                    objective)
+        iface = pde_surface_derivative(state, p)
+        dens = pde_volume_densities(state, p, objective)
         diffs = []
         for node in iface.node_ids:
             hat = np.zeros(len(sm.nodes))
@@ -408,8 +401,7 @@ def test_interior_deformations_pair_to_zero_under_refinement():
         state = solve_state(mesh, layout, source)
         p = solve_adjoint(state, objective)
         sm = mesh.spatial_mesh()
-        dens = pde_volume_densities(mesh, layout, state.u, p, source,
-                                    objective)
+        dens = pde_volume_densities(state, p, objective)
         theta = np.where((sm.nodes > 0.7) & (sm.nodes < 0.9),
                          np.sin(np.pi * (sm.nodes - 0.7) / 0.2) ** 2, 0.0)
         vals.append(abs(dens.pairing(theta)))
@@ -422,7 +414,7 @@ def test_surface_descent_direction_decreases_objective():
     state = solve_state(mesh, layout, source)
     j_base = evaluate_objective(mesh, state.u, objective)
     p = solve_adjoint(state, objective)
-    iface = pde_surface_derivative(mesh, layout, state.u, p)
+    iface = pde_surface_derivative(state, p)
     sm = mesh.spatial_mesh()
     theta = np.zeros(len(sm.nodes))
     theta[iface.node_ids] = -iface.values * iface.normals

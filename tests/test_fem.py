@@ -3,6 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -190,6 +191,20 @@ def test_linear_system_rejects_non_finite_right_hand_side(method):
     system = LinearSystem(matrix)
     with pytest.raises(SolverError, match="residual contract"):
         getattr(system, method)(np.array([1.0, np.nan, 0.0]))
+
+
+@pytest.mark.parametrize("method", ["solve", "solve_transpose"])
+def test_linear_system_contract_is_scale_free(method):
+    # cond(H_8) = 1.5e10, so x = H^-1 b is large and b - H x is far above
+    # 1e-12 |b| although the backward error is at roundoff; the verdict
+    # must not depend on the size of b
+    system = LinearSystem(sp.csc_matrix(scipy.linalg.hilbert(8)))
+    solve = getattr(system, method)
+    b = np.ones(8)
+    x = solve(b)
+    # a power of two scales every rounding alike: same steps, same bits
+    assert np.array_equal(solve(2.0 ** -20 * b), 2.0 ** -20 * x)
+    assert np.allclose(solve(1e-6 * b), 1e-6 * x, rtol=1e-10, atol=0.0)
 
 
 def test_linear_system_reuses_its_ordering_for_csr_input():
@@ -555,13 +570,13 @@ def test_adjoint_equals_time_reflected_state():
 
 def test_tangent_zero_direction_and_linearity():
     mesh, layout, source, _ = moving_interface_problem(8)
-    u = solve_state(mesh, layout, source).u
+    state = solve_state(mesh, layout, source)
     sm = mesh.spatial_mesh()
-    zero = solve_tangent(mesh, layout, u, source, np.zeros(9))
+    zero = solve_tangent(state, np.zeros(9))
     assert np.all(zero.values == 0.0)
     theta = theta_bump(sm)
-    one = solve_tangent(mesh, layout, u, source, theta)
-    three = solve_tangent(mesh, layout, u, source, 3.0 * theta)
+    one = solve_tangent(state, theta)
+    three = solve_tangent(state, 3.0 * theta)
     assert np.max(np.abs(three.values - 3.0 * one.values)) \
         < 1e-12 * np.max(np.abs(one.values) + 1.0)
 
@@ -571,7 +586,7 @@ def test_tangent_matches_shape_finite_difference():
     base = solve_state(mesh, layout, source)
     sm = mesh.spatial_mesh()
     theta = theta_bump(sm)
-    tangent = solve_tangent(mesh, layout, base.u, source, theta)
+    tangent = solve_tangent(base, theta)
     scale = np.linalg.norm(tangent.values)
     errors = []
     for eps in (1e-2, 1e-3):
@@ -594,9 +609,9 @@ def test_adjoint_tangent_duality_is_exact(problem):
     p = solve_adjoint(state, objective)
     sm = mesh.spatial_mesh()
     theta = theta_bump(sm)
-    udot = solve_tangent(mesh, layout, u, source, theta)
+    udot = solve_tangent(state, theta)
     lhs = objective_gradient_vector(mesh, u, objective) @ udot.values
-    rhs = -(p.values @ tangent_rhs(mesh, layout, u, source, theta))
+    rhs = -(p.values @ tangent_rhs(state, theta))
     assert abs(lhs - rhs) < 1e-8 * (abs(lhs) + 1e-12)
 
 
@@ -614,9 +629,8 @@ def test_element_rule_matches_direct_kernel_evaluation(problem):
                                     theta)
     m_term = direct_element_pairing(mesh, layout, u, Field.zeros(u.dofmap),
                                     source, objective, theta)
-    pairing = volume_form_pairing(mesh, layout, u, p, source, objective,
-                                  theta)
-    rhs = tangent_rhs(mesh, layout, u, source, theta)
+    pairing = volume_form_pairing(state, p, objective, theta)
+    rhs = tangent_rhs(state, theta)
     assert abs(pairing - direct) <= 1e-10 * abs(direct)
     assert abs(m_term - p.values @ rhs - direct) <= 1e-10 * abs(direct)
 

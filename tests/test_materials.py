@@ -93,6 +93,18 @@ def test_law_validation():
         PhaseMaterial(sigma=-1.0, nu=ConstantReluctivity(1.0))
 
 
+def test_laws_reject_non_finite_parameters():
+    laws = (ConstantReluctivity,
+            lambda v: ReluctivityCurve(nu_a=v, c1=1.0, c2=0.1, c3=6.0),
+            lambda v: ReluctivityCurve(nu_a=2.0, c1=1.0, c2=v, c3=6.0),
+            lambda v: ReluctivityCurve(nu_a=2.0, c1=1.0, c2=0.1, c3=v),
+            lambda v: PhaseMaterial(v, ConstantReluctivity(1.0)))
+    for law in laws:
+        for value in (np.nan, np.inf):
+            with pytest.raises(MaterialError):
+                law(value)
+
+
 def test_layout_lookup():
     layout = PhaseLayout({1: PhaseMaterial(2.0, ConstantReluctivity(1.0)),
                           2: PhaseMaterial(0.0, CURVE)})

@@ -129,6 +129,14 @@ def test_deformation_to_a_non_finite_node_raises():
         deform_mesh(mesh, theta, 0.01)
 
 
+@pytest.mark.parametrize("theta", [0.5, np.zeros(8), np.zeros((9, 1))],
+                         ids=["scalar", "short", "column"])
+def test_deformation_of_the_wrong_shape_names_both_shapes(theta):
+    mesh = generate_mesh(8, 6, (0.4, 0.6), Polynomial1D())
+    with pytest.raises(GeometryError, match=r"shape \(9,\)"):
+        deform_mesh(mesh, theta, 1.0)
+
+
 def test_vertical_line_crosses_two_triangles_per_slab():
     mesh = generate_mesh(10, 6, (0.4, 0.6), Identity(dim=1))
     els, t_nodes = trajectory_intervals(mesh, np.array([0.512]))
@@ -269,7 +277,7 @@ def test_geometry_is_computed_once_per_mesh(monkeypatch):
     calls = count_inversions(monkeypatch, mesh.motion)
     state = solve_state(mesh, layout, source)
     p = solve_adjoint(state, objective)
-    pde_volume_densities(mesh, layout, state.u, p, source, objective)
+    pde_volume_densities(state, p, objective)
     assert calls == [3 * mesh.n_elements]
 
 

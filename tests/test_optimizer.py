@@ -63,7 +63,7 @@ def test_direction_pairing_is_nonpositive():
     mesh, layout, source, objective = moving_interface_problem(20)
     state = solve_state(mesh, layout, source)
     p = solve_adjoint(state, objective)
-    dens = pde_volume_densities(mesh, layout, state.u, p, source, objective)
+    dens = pde_volume_densities(state, p, objective)
     direction, norm = hilbertian_direction(dens, DescentConfig())
     assert norm > 0.0
     assert dens.pairing(direction) <= 0.0
@@ -76,6 +76,10 @@ def test_descent_config_validation():
         DescentConfig(beta=-1.0)
     with pytest.raises(ConfigError):
         DescentConfig(tau_init=1e-12, tau_min=1e-10)
+    with pytest.raises(ConfigError):
+        DescentConfig(tau_init=-2000.0, tau_min=-4000.0)
+    with pytest.raises(ConfigError):
+        DescentConfig(theta_tol=-1e-9)
 
 
 def descent_setup(n=24):
@@ -84,30 +88,30 @@ def descent_setup(n=24):
     from stshapeopt import evaluate_objective
     j0 = evaluate_objective(mesh, state.u, objective)
     p = solve_adjoint(state, objective)
-    dens = pde_volume_densities(mesh, layout, state.u, p, source, objective)
+    dens = pde_volume_densities(state, p, objective)
     direction, norm = hilbertian_direction(dens, DescentConfig())
-    return mesh, layout, source, objective, state, j0, direction, dens
+    return objective, state, j0, direction, dens
 
 
 def test_line_search_accepts_descent_direction():
-    mesh, layout, source, objective, state, j0, direction, _ = descent_setup()
+    objective, state, j0, direction, _ = descent_setup()
     config = DescentConfig(tau_init=100.0)
-    result = line_search(mesh, layout, source, objective, state, j0,
-                         direction, config.tau_init, config)
+    result = line_search(state, objective, j0, direction,
+                         config.tau_init, config)
     assert result is not None
     assert result.objective_value < j0
 
 
 def test_line_search_rejects_ascent_direction():
-    mesh, layout, source, objective, state, j0, direction, _ = descent_setup()
+    objective, state, j0, direction, _ = descent_setup()
     config = DescentConfig(tau_init=1.0, max_halvings=40)
-    result = line_search(mesh, layout, source, objective, state, j0,
-                         -direction, config.tau_init, config)
+    result = line_search(state, objective, j0, -direction,
+                         config.tau_init, config)
     assert result is None
 
 
 def test_line_search_halves_geometry_violations_before_solving(monkeypatch):
-    mesh, layout, source, objective, state, j0, direction, _ = descent_setup()
+    objective, state, j0, direction, _ = descent_setup()
     # an enormous first step must be halved away without any state solve
     calls = []
     real_solve = opt_mod.solve_state
@@ -120,8 +124,7 @@ def test_line_search_halves_geometry_violations_before_solving(monkeypatch):
     scale = np.max(np.abs(direction))
     tau0 = 64.0 / scale          # inverts elements for the first trials
     config = DescentConfig(tau_init=tau0, max_halvings=60)
-    result = line_search(mesh, layout, source, objective, state, j0,
-                         direction, tau0, config)
+    result = line_search(state, objective, j0, direction, tau0, config)
     assert result is not None
     assert result.tau < tau0 / 2.0
     assert len(calls) < 60
@@ -129,7 +132,7 @@ def test_line_search_halves_geometry_violations_before_solving(monkeypatch):
 
 @pytest.mark.parametrize("error", [NonconvergenceError, SolverError])
 def test_line_search_halves_failed_trial_solves(monkeypatch, error):
-    mesh, layout, source, objective, state, j0, direction, _ = descent_setup()
+    objective, state, j0, direction, _ = descent_setup()
     calls = []
     real_solve = opt_mod.solve_state
 
@@ -141,8 +144,8 @@ def test_line_search_halves_failed_trial_solves(monkeypatch, error):
 
     monkeypatch.setattr(opt_mod, "solve_state", failing_first_solve)
     config = DescentConfig(tau_init=100.0)
-    result = line_search(mesh, layout, source, objective, state, j0,
-                         direction, config.tau_init, config)
+    result = line_search(state, objective, j0, direction,
+                         config.tau_init, config)
     assert result is not None
     assert result.trials >= 2
     assert result.objective_value < j0
@@ -204,11 +207,10 @@ def test_optimize_is_deterministic():
 
 
 def test_first_step_matches_linear_model():
-    mesh, layout, source, objective, state, j0, direction, dens \
-        = descent_setup(32)
+    objective, state, j0, direction, dens = descent_setup(32)
     config = DescentConfig(tau_init=1.0)
-    result = line_search(mesh, layout, source, objective, state, j0,
-                         direction, config.tau_init, config)
+    result = line_search(state, objective, j0, direction,
+                         config.tau_init, config)
     predicted = result.tau * dens.pairing(direction)
     actual = result.objective_value - j0
     assert abs(actual - predicted) / abs(predicted) < 0.2

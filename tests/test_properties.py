@@ -57,7 +57,7 @@ def solved(data):
                                                           data.draw(SIZES))
     state = solve_state(mesh, layout, source)
     p = solve_adjoint(state, objective)
-    return mesh, layout, source, objective, state.u, p
+    return objective, state, p
 
 
 @PROPERTY
@@ -116,27 +116,26 @@ def test_jacobian_equals_coo_assembly(data, problem, fraction, seed):
 @PROPERTY
 @given(st.data())
 def test_adjoint_tangent_duality(data):
-    mesh, layout, source, objective, u, p = solved(data)
-    theta = design_velocity(data, mesh.n_x)
-    udot = solve_tangent(mesh, layout, u, source, theta).values
-    jprime = objective_gradient_vector(mesh, u, objective)
+    objective, state, p = solved(data)
+    theta = design_velocity(data, state.mesh.n_x)
+    udot = solve_tangent(state, theta).values
+    jprime = objective_gradient_vector(state.mesh, state.u, objective)
     lhs = jprime @ udot
-    rhs = -(p.values @ tangent_rhs(mesh, layout, u, source, theta))
+    rhs = -(p.values @ tangent_rhs(state, theta))
     assert abs(lhs - rhs) <= 1e-8 * (np.abs(jprime) @ np.abs(udot)) + 1e-30
 
 
 @PROPERTY
 @given(st.data())
 def test_derivative_pairings_are_linear_in_theta(data):
-    mesh, layout, source, objective, u, p = solved(data)
-    t1 = design_velocity(data, mesh.n_x)
-    t2 = design_velocity(data, mesh.n_x)
+    objective, state, p = solved(data)
+    t1 = design_velocity(data, state.mesh.n_x)
+    t2 = design_velocity(data, state.mesh.n_x)
     a, b = data.draw(COEFFICIENTS), data.draw(COEFFICIENTS)
-    densities = pde_volume_densities(mesh, layout, u, p, source, objective)
+    densities = pde_volume_densities(state, p, objective)
 
     def element_rule(theta):
-        return volume_form_pairing(mesh, layout, u, p, source, objective,
-                                   theta)
+        return volume_form_pairing(state, p, objective, theta)
 
     for pairing in (densities.pairing, element_rule):
         parts = (a * pairing(t1), b * pairing(t2))

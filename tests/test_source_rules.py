@@ -139,3 +139,19 @@ def test_fem_holds_no_shape_derivative_form():
     assert [name for name in forms if hasattr(fem, name)] == []
     assert stshapeopt.solve_tangent is derivative.solve_tangent
     assert stshapeopt.volume_form_pairing is derivative.volume_form_pairing
+
+
+def test_derivative_and_optimizer_take_the_solved_state():
+    # a SolveResult carries its mesh, layout, field and source, so the
+    # forms and the line search take it whole; only optimize, which makes
+    # the first state, takes the layout and the source
+    found = []
+    for name in ("derivative.py", "optimizer.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name != "optimize":
+                args = node.args.posonlyargs + node.args.args \
+                    + node.args.kwonlyargs
+                found += [f"{name}:{node.name}.{a.arg}" for a in args
+                          if a.arg in ("layout", "source")]
+    assert found == []

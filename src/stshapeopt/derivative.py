@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedCaseError
+from .errors import GeometryError, UnsupportedCaseError
 from .fem import (Field, LinearSystem, _scatter_vector, _slope,
                   assemble_state_jacobian, evaluate_objective, solve_state)
 from .kernels import jet1d, m_prime, pullback_scalar_derivative
@@ -245,8 +245,12 @@ def magnetization_supplement(mesh, magnetization_grad, p, element_mask):
     sm = mesh.spatial_mesh()
     _, _, p_x, _, _ = _element_planes(mesh, p.nodal())
 
+    mask = np.asarray(element_mask, dtype=bool)
+    if mask.shape != (sm.n_elements,):
+        raise GeometryError(f"element mask has shape {mask.shape}, spatial "
+                            f"elements have shape {(sm.n_elements,)}")
     g0, g1 = np.zeros(sm.n_elements), np.zeros(sm.n_elements)
-    active = np.flatnonzero(np.asarray(element_mask, dtype=bool))
+    active = np.flatnonzero(mask)
     if len(active) > 0:
         (e, t, x, _), jets, dt = _trajectory_samples(mesh,
                                                      sm.centroids[active])

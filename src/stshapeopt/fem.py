@@ -22,7 +22,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import AssemblyError, NonconvergenceError, SolverError
+from .errors import (AssemblyError, GeometryError, NonconvergenceError,
+                     SolverError)
 from .mesh import NQ, MeshGeometry, mesh_geometry
 
 LINEAR_RESIDUAL_TOL = 1e-12
@@ -323,14 +324,12 @@ class SolveResult:
     system: LinearSystem = None
 
 
-def solve_state(mesh, layout, source, newton=None, initial_guess=None):
-    """Damped Newton solve of the state problem.
-
-    Args:
-        mesh, layout, source: problem data; the motion is carried by the mesh.
-        newton: NewtonOptions; the tolerance is relative to the larger of the
-            load norm and the initial residual norm.
-        initial_guess: optional Field used to warm-start the iteration.
+def solve_state(mesh, layout, source, initial_guess=None):
+    """Damped Newton solve of the state problem under NewtonOptions(); the
+    tolerance is relative to the larger of the load norm and the initial
+    residual norm.  The motion is carried by the mesh.  ``initial_guess``
+    is an optional Field of the same free values that warm-starts the
+    iteration.
 
     Returns a SolveResult.  With constant reluctivity the Jacobian A does
     not depend on u: it is assembled once, each residual is A u - load
@@ -338,11 +337,14 @@ def solve_state(mesh, layout, source, newton=None, initial_guess=None):
     the tolerance, and the factor of A is handed over as
     ``SolveResult.system``.
     """
-    newton = newton or NewtonOptions()
+    newton = NewtonOptions()
     geom = element_geometry(mesh, layout)
     dofmap = DofMap.from_mesh(mesh)
     u = Field.zeros(dofmap) if initial_guess is None \
         else Field(dofmap, initial_guess.values.copy())
+    if u.values.shape != (dofmap.n_free,):
+        raise GeometryError(f"initial guess has shape {u.values.shape}, "
+                            f"expected ({dofmap.n_free},)")
 
     load = _load_vector(mesh, geom, dofmap, source)
     if layout.all_constant:

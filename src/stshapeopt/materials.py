@@ -39,23 +39,12 @@ class ConstantReluctivity:
                                 f"got {self.value}")
 
     @property
-    def nu_lower(self):
-        return self.value
-
-    @property
-    def lipschitz_bound(self):
-        return self.value
-
-    @property
     def is_constant(self):
         return True
 
     def eval(self, s):
         s = _check_s(s)
         return np.full_like(s, self.value), np.zeros_like(s)
-
-    def prime_over_s(self, s):
-        return np.zeros_like(np.asarray(s, dtype=float))
 
 
 @dataclass(frozen=True)

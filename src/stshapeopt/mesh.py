@@ -11,6 +11,7 @@ Deformations move the spatial reference nodes only (per-node displacement),
 so a deformation followed by its negation restores the mesh exactly.
 """
 
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -179,6 +180,9 @@ def check_mesh_args(n_x=4, n_t=2, interfaces=(), t_final=1.0):
     """Raise GeometryError unless `generate_mesh` accepts these arguments;
     the defaults are the smallest grid and the empty interface list.  Plain
     Python: the configuration parser calls it once per key."""
+    for name, n in (("n_x", n_x), ("n_t", n_t)):
+        if not isinstance(n, numbers.Integral):
+            raise GeometryError(f"mesh needs an integer {name}, got {n!r}")
     if n_x < 4:
         raise GeometryError(f"mesh needs n_x >= 4, got {n_x}")
     if n_t < 2:

@@ -209,21 +209,17 @@ class Polynomial1D(Motion):
 
 
 class CustomMotion(Motion):
-    """User-supplied motion built from closures matching the base contract.
+    """User-supplied motion from closures that implement the batched shape
+    conventions of this module and satisfy phi_0 = Id; it inverts through
+    the base class's Newton iteration."""
 
-    ``inverse`` is optional; the generic Newton inversion is used when it is
-    omitted.  The closures must implement the batched shape conventions of
-    this module and satisfy phi_0 = Id.
-    """
-
-    def __init__(self, dim, forward, grad, grad2, dt, dt_grad, inverse=None):
+    def __init__(self, dim, forward, grad, grad2, dt, dt_grad):
         self.dim = dim
         self._forward = forward
         self._grad = grad
         self._grad2 = grad2
         self._dt = dt
         self._dt_grad = dt_grad
-        self._inverse = inverse
 
     def forward(self, t, x):
         return self._forward(t, np.asarray(x, dtype=float))
@@ -239,8 +235,3 @@ class CustomMotion(Motion):
 
     def dt_grad(self, t, x):
         return self._dt_grad(t, np.asarray(x, dtype=float))
-
-    def inverse(self, t, y):
-        if self._inverse is not None:
-            return self._inverse(t, np.asarray(y, dtype=float))
-        return super().inverse(t, y)

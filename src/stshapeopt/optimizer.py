@@ -12,6 +12,7 @@ quantity.
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -42,9 +43,10 @@ class DescentConfig:
             if f.type is float and not math.isfinite(value):
                 raise ConfigError(f"descent {f.name} must be finite, "
                                   f"got {value}")
-            if f.type is int and value < 0:
-                raise ConfigError(f"descent {f.name} must be >= 0, "
-                                  f"got {value}")
+            if f.type is int and not (isinstance(value, numbers.Integral)
+                                      and value >= 0):
+                raise ConfigError(f"descent {f.name} must be an integer "
+                                  f">= 0, got {value}")
         if self.alpha <= 0.0:
             raise ConfigError(f"descent weight alpha must be positive, "
                               f"got {self.alpha}")

@@ -1,4 +1,4 @@
-"""Legacy-VTK ASCII export of space-time meshes and nodal/cell fields.
+"""Legacy-VTK ASCII export of space-time meshes and nodal fields.
 
 One UNSTRUCTURED_GRID file per snapshot; points are written as
 (x, t, 0) so the time axis appears vertically in standard viewers.
@@ -9,13 +9,10 @@ import numpy as np
 VTK_TRIANGLE = 5
 
 
-def write_vtk(path, mesh, point_data=None, cell_data=None,
-              title="space-time snapshot"):
-    point_data = point_data or {}
-    cell_data = cell_data or {}
+def write_vtk(path, mesh, point_data=None):
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 3.0\n")
-        f.write(f"{title}\n")
+        f.write("space-time snapshot\n")
         f.write("ASCII\n")
         f.write("DATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {mesh.n_vertices} double\n")
@@ -40,9 +37,3 @@ def write_vtk(path, mesh, point_data=None, cell_data=None,
         f.write("LOOKUP_TABLE default\n")
         for p in mesh.phases:
             f.write(f"{int(p)}\n")
-        for name, values in cell_data.items():
-            values = np.asarray(values, dtype=float)
-            f.write(f"SCALARS {name} double 1\n")
-            f.write("LOOKUP_TABLE default\n")
-            for v in values:
-                f.write(f"{v:.12e}\n")

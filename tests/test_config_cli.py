@@ -6,10 +6,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from stshapeopt import cli, expressions
+from stshapeopt import cli, expressions, fem
 from stshapeopt.cli import main, observed_order
 from stshapeopt.config import load_config, parse_config
 from stshapeopt.errors import ConfigError
+from stshapeopt.fem import NewtonOptions
 from stshapeopt.optimizer import DescentConfig
 
 CONFIG_FORMAT = Path(__file__).resolve().parents[1] / "docs" \
@@ -94,10 +95,13 @@ MINIMAL_MATERIALS = ("[materials]\nphase 1 sigma = 1\n"
 
 
 @pytest.mark.parametrize("old, new", [
+    ("# moving-interface benchmark", "nx = 20"),
+    ("theta_tol = 1e-9", "alpha = 0.7"),
     ("domain = 0 1", "domain = a b"),
     ("t_final = 1.0", "t_final = inf"),
     ("t_final = 1.0", "t_final = nan"),
     ("nx = 20", "nx = 3"),
+    ("nt = 20", "nt = 1"),
     ("interfaces = 0.4 0.6", "interfaces = 0.6 0.4"),
     ("interfaces = 0.4 0.6", "interfaces = 0.4 1.5"),
     ("interfaces = 0.4 0.6", "interfaces = 0.4 nan"),
@@ -105,6 +109,7 @@ MINIMAL_MATERIALS = ("[materials]\nphase 1 sigma = 1\n"
     ("phase 1 sigma = 10.0", "phase 1 sigma = inf"),
     ("phase 1 nu = constant 1.0", "phase 1 nu = constant nan"),
     ("phase 1 nu = constant 1.0", "phase 1 nu = curve 10 1 inf 2"),
+    ("phase 1 nu = constant 1.0", "phase 1 nu = linear 3"),
     ("alpha = 0.5", "alpha = 0"),
     ("alpha = 0.5", "alpha = nan"),
     ("alpha = 0.5", "alpha = inf"),
@@ -120,6 +125,7 @@ MINIMAL_MATERIALS = ("[materials]\nphase 1 sigma = 1\n"
     ("eps = 1e-2 1e-3 1e-4", "eps = 1e-2 nan"),
     ("eps = 1e-2 1e-3 1e-4", "eps = 1e-2 inf"),
     ("eps = 1e-2 1e-3 1e-4", "eps = 1e-2 1e-2"),
+    ("vtk = false", "vtk = maybe"),
 ])
 def test_bad_value_is_a_config_error_at_its_line(tmp_path, old, new):
     path = write_cfg(tmp_path)
@@ -129,6 +135,14 @@ def test_bad_value_is_a_config_error_at_its_line(tmp_path, old, new):
     with pytest.raises(ConfigError, match=f"line {line}: ") as info:
         load_config(path)
     assert info.value.line == line
+    assert main(["solve", "--config", str(path)]) == 2
+
+
+def test_missing_required_key_is_a_config_error(tmp_path):
+    path = write_cfg(tmp_path)
+    path.write_text(path.read_text().replace("interfaces = 0.4 0.6\n", ""))
+    with pytest.raises(ConfigError, match="missing key 'interfaces'"):
+        load_config(path)
     assert main(["solve", "--config", str(path)]) == 2
 
 
@@ -246,6 +260,25 @@ def test_cmd_optimize_writes_history(tmp_path, capsys):
     assert "final J" in capsys.readouterr().out
 
 
+def test_cmd_optimize_vtk_writes_each_accepted_step_and_the_final(tmp_path):
+    cfg = write_cfg(tmp_path, nx=10, nt=10, max_outer=2)
+    assert main(["optimize", "--config", str(cfg), "--vtk"]) == 0
+    out = tmp_path / "out"
+    with open(out / "history.csv") as handle:
+        assert len(list(csv.reader(handle))) == 4
+    assert sorted(p.name for p in out.glob("*.vtk")) == [
+        "final.vtk", "iteration_0000.vtk", "iteration_0001.vtk"]
+
+
+def test_solver_failure_exits_4(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(fem, "NewtonOptions",
+                        lambda: NewtonOptions(max_iter=0))
+    cfg = write_cfg(tmp_path, nx=8, nt=8)
+    assert main(["solve", "--config", str(cfg)]) == 4
+    assert capsys.readouterr().err.startswith(
+        "solver error: Newton did not converge")
+
+
 def test_cmd_optimize_zero_budget_history_has_initial_row_only(tmp_path):
     cfg = write_cfg(tmp_path, nx=10, nt=10, max_outer=0)
     assert main(["optimize", "--config", str(cfg)]) == 0
@@ -330,6 +363,8 @@ def test_shipped_configs_parse_and_build():
 
 @pytest.mark.parametrize("old, new", [
     ("t_final = 1.0", "t_finl = 3"),
+    ("phase 1 nu = constant 1.0",
+     "phase 1 nu = constant 1.0\nphase 1 mu = 2"),
     ("[source]", "[source]\nsource = 0"),
     ("nt = 20", "nt = 20\nquadratur = 2"),
     ("j = u", "j = u\nk = u"),

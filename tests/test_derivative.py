@@ -16,7 +16,7 @@ from stshapeopt.derivative import (academic_surface_density,
                                    academic_surface_derivative_polyline,
                                    academic_volume_derivative_sampled,
                                    fd_objective_derivative)
-from stshapeopt.errors import UnsupportedCaseError
+from stshapeopt.errors import GeometryError, UnsupportedCaseError
 from stshapeopt.fem import DofMap, ElementGeometry, Field, evaluate_objective
 from stshapeopt.kernels import jet1d
 
@@ -442,6 +442,15 @@ def test_magnetization_zero_field_zero_increment():
     inc = magnetization_supplement(mesh, lambda t, x: np.zeros_like(x), p,
                                    mask)
     assert np.all(inc.g0 == 0.0) and np.all(inc.g1 == 0.0)
+
+
+@pytest.mark.parametrize("size", [5, 50])
+def test_magnetization_mask_of_the_wrong_shape_names_both_shapes(size):
+    mesh, p, _, sm = magnetization_setup()
+    with pytest.raises(GeometryError, match=rf"\({size},\).*"
+                       rf"\({sm.n_elements},\)"):
+        magnetization_supplement(mesh, lambda t, x: np.zeros_like(x), p,
+                                 np.ones(size, dtype=bool))
 
 
 def test_magnetization_constant_field_cancels_exactly():

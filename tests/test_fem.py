@@ -19,7 +19,8 @@ from stshapeopt import (CallableSource, ConstantReluctivity, Identity,
                         solve_state, solve_tangent)
 from stshapeopt import fem
 from stshapeopt.derivative import tangent_rhs, volume_form_pairing
-from stshapeopt.errors import AssemblyError, NonconvergenceError, SolverError
+from stshapeopt.errors import (AssemblyError, GeometryError,
+                               NonconvergenceError, SolverError)
 from stshapeopt.fem import (LU_PANEL_SIZE, LU_RELAX, NQ, DofMap, Field,
                             LinearSystem, NewtonOptions,
                             _residual_local, element_geometry,
@@ -146,6 +147,22 @@ def test_assembly_reports_offending_element():
         assemble_state_residual(mesh, layout, u, bad)
 
 
+def test_non_finite_residual_names_its_element():
+    # nu = 1e300 is a valid law, but nu |u_x| overflows next to one vertex
+    mesh, _, _, _ = moving_interface_problem(6)
+    dofmap = DofMap.from_mesh(mesh)
+    u = Field.zeros(dofmap)
+    dof = dofmap.n_free // 2
+    u.values[dof] = 1e10
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            AssemblyError, match="non-finite residual contribution in "
+            r"element \d+$") as info:
+        assemble_state_residual(mesh, uniform_layout(nu=1e300), u,
+                                zero_source())
+    bad = int(str(info.value).split()[-1])
+    assert np.any(dofmap.vertex_dof[mesh.elements[bad]] == dof)
+
+
 # ---------------------------------------------------------------------------
 # state solves
 
@@ -172,15 +189,66 @@ def test_field_respects_periodic_and_dirichlet_invariants():
     assert np.all(nodal[b] == nodal[t])
 
 
-def test_newton_failure_raises_with_residual():
+def test_newton_failure_raises_with_residual(monkeypatch):
     mesh, layout, source, _ = nonlinear_problem(8)
+    monkeypatch.setattr(fem, "NewtonOptions",
+                        lambda: NewtonOptions(tol=1e-14, max_iter=1))
     with pytest.raises(NonconvergenceError):
-        solve_state(mesh, layout, source,
-                    newton=NewtonOptions(tol=1e-14, max_iter=1))
+        solve_state(mesh, layout, source)
+
+
+def test_newton_damping_underflow_raises(monkeypatch):
+    # a negated Jacobian makes every Newton step an ascent direction
+    mesh, layout, source, _ = nonlinear_problem(8)
+    real_jacobian = fem._jacobian_matrix
+    monkeypatch.setattr(fem, "_jacobian_matrix",
+                        lambda *args: -real_jacobian(*args))
+    with pytest.raises(NonconvergenceError, match="damping underflow") \
+            as info:
+        solve_state(mesh, layout, source)
+    assert info.value.residual > 0.0
+
+
+@pytest.mark.parametrize("size", [6, 10])
+def test_initial_guess_from_another_mesh_is_rejected(size):
+    mesh, layout, source, _ = moving_interface_problem(8)
+    other = solve_state(*moving_interface_problem(size)[:3]).u
+    n_free = DofMap.from_mesh(mesh).n_free
+    with pytest.raises(GeometryError, match=rf"\({other.values.size},\)"
+                       rf".*\({n_free},\)"):
+        solve_state(mesh, layout, source, initial_guess=other)
 
 
 # ---------------------------------------------------------------------------
 # direct solves
+
+
+def test_singular_matrix_is_a_factorization_failure():
+    with pytest.raises(SolverError, match="factorization failed: "):
+        LinearSystem(sp.csc_matrix((3, 3)))
+
+
+@pytest.mark.parametrize("spoiled", [1, 2])
+def test_refinement_rescues_a_perturbed_solve(monkeypatch, spoiled):
+    # the first `spoiled` LU solves are off by 1e-3 relative; each
+    # refinement step removes that factor once
+    matrix = sp.csc_matrix(np.array([[4.0, 1.0, 0.0],
+                                     [1.0, 3.0, 1.0],
+                                     [0.0, 2.0, 5.0]]))
+    system = LinearSystem(matrix)
+    b = np.array([1.0, 2.0, 3.0])
+    real_lu_solve = LinearSystem._lu_solve
+    calls = []
+
+    def perturbed(self, rhs, transpose):
+        calls.append(1)
+        x = real_lu_solve(self, rhs, transpose)
+        return x * 1.001 if len(calls) <= spoiled else x
+
+    monkeypatch.setattr(LinearSystem, "_lu_solve", perturbed)
+    x = system.solve(b)
+    assert len(calls) == spoiled + 1
+    assert fem._backward_stable(matrix, x, b)
 
 
 @pytest.mark.parametrize("method", ["solve", "solve_transpose"])

@@ -60,6 +60,18 @@ def test_interface_snapping_and_validation():
         generate_mesh(3, 4, (0.4, 0.6), Identity(dim=1))
 
 
+@pytest.mark.parametrize("n_x, n_t", [(10.0, 10), (10, 10.0)],
+                         ids=["n_x", "n_t"])
+def test_non_integral_grid_size_is_a_geometry_error(n_x, n_t):
+    with pytest.raises(GeometryError, match="integer"):
+        generate_mesh(n_x, n_t, (0.4, 0.6), Polynomial1D())
+
+
+def test_too_many_interfaces_for_the_grid_raise():
+    with pytest.raises(GeometryError, match="too many interfaces"):
+        generate_mesh(4, 2, (0.2, 0.3, 0.4, 0.5, 0.6), Identity(dim=1))
+
+
 def test_deform_zero_step_is_identity():
     mesh = generate_mesh(8, 4, (0.4, 0.6), Polynomial1D())
     theta = np.sin(np.pi * mesh.xi_nodes)

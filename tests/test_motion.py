@@ -100,6 +100,20 @@ def test_custom_motion_with_default_inverse():
     assert np.max(np.abs(motion.velocity(0.6, y) - motion.dt(0.6, x))) < 1e-12
 
 
+def test_custom_motion_inversion_outside_its_image_raises():
+    # t x^2 + x = y has no real root for t = 1, y = -1; Newton cycles
+    # between -1 and 0 without converging
+    motion = CustomMotion(
+        dim=1,
+        forward=lambda t, x: x + t * x * x,
+        grad=lambda t, x: (1.0 + 2.0 * t * x)[..., None],
+        grad2=lambda t, x: np.full_like(x, 2.0 * t)[..., None, None],
+        dt=lambda t, x: x * x,
+        dt_grad=lambda t, x: (2.0 * x)[..., None])
+    with pytest.raises(GeometryError, match="did not converge"):
+        motion.inverse(1.0, np.array([[-1.0]]))
+
+
 @pytest.mark.parametrize("motion", [Identity(dim=1), Polynomial1D()],
                          ids=lambda motion: type(motion).__name__)
 def test_affine_motion_crossings_are_the_one_step_chord(motion):

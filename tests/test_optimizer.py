@@ -82,6 +82,13 @@ def test_descent_config_validation():
         DescentConfig(theta_tol=-1e-9)
 
 
+@pytest.mark.parametrize("cap", [{"max_outer": 2.5}, {"max_halvings": 1.5}],
+                         ids=lambda cap: next(iter(cap)))
+def test_descent_caps_must_be_integers(cap):
+    with pytest.raises(ConfigError, match="must be an integer"):
+        DescentConfig(**cap)
+
+
 def descent_setup(n=24):
     mesh, layout, source, objective = moving_interface_problem(n)
     state = solve_state(mesh, layout, source)
@@ -149,6 +156,30 @@ def test_line_search_halves_failed_trial_solves(monkeypatch, error):
     assert result is not None
     assert result.trials >= 2
     assert result.objective_value < j0
+
+
+def test_no_halving_budget_fails_the_line_search_and_ends_the_descent():
+    objective, state, j0, direction, _ = descent_setup(12)
+    config = DescentConfig(max_halvings=0)
+    assert line_search(state, objective, j0, direction, config.tau_init,
+                       config) is None
+    report = optimize(state.mesh, state.layout, state.source, objective,
+                      config)
+    assert report.termination == "line_search_failure"
+    assert len(report.records) == 1
+
+
+def test_optimize_calls_back_once_per_accepted_step():
+    mesh, layout, source, objective = moving_interface_problem(12)
+    seen = []
+    report = optimize(mesh, layout, source, objective,
+                      DescentConfig(tau_init=100.0, max_outer=3),
+                      callback=lambda n, result: seen.append((n, result)))
+    assert len(seen) == len(report.records) - 1 == 3
+    assert [n for n, _ in seen] == [0, 1, 2]
+    assert [result.objective_value for _, result in seen] \
+        == [record.objective for record in report.records[1:]]
+    assert seen[-1][1].state is report.state
 
 
 def test_optimize_zero_source_stops_at_origin():

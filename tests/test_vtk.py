@@ -63,10 +63,9 @@ def read_legacy_vtk(path):
 def test_vtk_round_trip(tmp_path):
     mesh = generate_mesh(6, 4, (0.4, 0.6), Polynomial1D())
     u = np.sin(mesh.vertices[:, 1]) * mesh.vertices[:, 0]
-    g0 = np.arange(mesh.n_elements, dtype=float)
     path = tmp_path / "snapshot.vtk"
-    write_vtk(path, mesh, point_data={"u": u}, cell_data={"g0": g0},
-              title="round trip")
+    write_vtk(path, mesh, point_data={"u": u})
+    assert path.read_text().splitlines()[1] == "space-time snapshot"
     points, cells, point_data, cell_data = read_legacy_vtk(path)
     assert len(points) == mesh.n_vertices
     # points are written as (x, t, 0)
@@ -76,4 +75,3 @@ def test_vtk_round_trip(tmp_path):
     assert np.array_equal(cells, mesh.elements)
     assert np.allclose(point_data["u"], u, atol=1e-12)
     assert np.allclose(cell_data["phase"], mesh.phases)
-    assert np.allclose(cell_data["g0"], g0, atol=1e-12)

@@ -34,6 +34,23 @@ def _fold_constant(node):
     return (node[0], a, b)
 
 
+def _checked(tree, node):
+    """``tree``, once its constant subtrees fold to a real number and no
+    divisor is a constant zero: Python floats raise on a zero divisor or an
+    overflowing power where numpy arrays give inf, so the parser reports
+    it, not the first evaluation or that of the symbolic derivative."""
+    try:
+        folded = _fold_constant(tree)
+    except ArithmeticError as exc:
+        raise ExpressionError(f"cannot evaluate {ast.unparse(node)!r}: "
+                              f"{exc}") from None
+    if folded[0] == "num" and isinstance(folded[1], complex) \
+            or folded[0] == "div" and folded[2] == ("num", 0.0):
+        raise ExpressionError(f"cannot evaluate {ast.unparse(node)!r}: "
+                              f"it has no real value")
+    return tree
+
+
 def _is_zero(node):
     return node[0] == "num" and node[1] == 0.0
 
@@ -98,14 +115,14 @@ def _convert(node, lines):
     elif op is ast.USub:
         return _sub(("num", 0.0), _convert(node.operand, lines))
     elif isinstance(node, ast.BinOp) and op in _BINARY:
-        return _BINARY[op](_convert(node.left, lines),
-                           _convert(node.right, lines))
+        return _checked(_BINARY[op](_convert(node.left, lines),
+                                    _convert(node.right, lines)), node)
     elif op is ast.Pow:
         base = _convert(node.left, lines)
         exponent = _fold_constant(_convert(node.right, lines))
         if exponent[0] != "num":
             raise ExpressionError("exponent must be a numeric constant")
-        return ("pow", base, exponent[1])
+        return _checked(("pow", base, exponent[1]), node)
     elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
           and node.func.id in FUNCTIONS and len(node.args) == 1
           and not node.keywords):

@@ -20,7 +20,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .derivative import pde_volume_densities
-from .errors import ConfigError, InvertedElementError, SolverError
+from .errors import (AssemblyError, ConfigError, InvertedElementError,
+                     SolverError)
 from .fem import evaluate_objective, solve_adjoint, solve_state
 from .mesh import deform_mesh
 
@@ -113,8 +114,9 @@ class LineSearchResult:
 def line_search(state, objective, j_current, direction, tau0, config):
     """First step halving of tau0 that decreases the objective on a valid
     deformation of the state's mesh; every candidate re-solves the state
-    from it.  A step that inverts an element or whose state solve fails is
-    rejected like one that does not decrease the objective.  Returns None
+    from it.  A step that inverts an element, or whose state solve or
+    objective fails, is rejected like one that does not decrease the
+    objective.  Returns None
     when tau falls below tau_min or the halving budget is exhausted."""
     tau = tau0
     for trial_count in range(config.max_halvings):
@@ -124,10 +126,10 @@ def line_search(state, objective, j_current, direction, tau0, config):
             trial_mesh = deform_mesh(state.mesh, direction, tau)
             trial = solve_state(trial_mesh, state.layout, state.source,
                                 initial_guess=state.u)
-        except (InvertedElementError, SolverError):
+            j_trial = evaluate_objective(trial_mesh, trial.u, objective)
+        except (InvertedElementError, SolverError, AssemblyError):
             tau *= 0.5
             continue
-        j_trial = evaluate_objective(trial_mesh, trial.u, objective)
         if j_trial < j_current:
             return LineSearchResult(tau=tau, state=trial,
                                     objective_value=j_trial,

@@ -6,10 +6,21 @@ One UNSTRUCTURED_GRID file per snapshot; points are written as
 
 import numpy as np
 
+from .errors import GeometryError
+
 VTK_TRIANGLE = 5
 
 
 def write_vtk(path, mesh, point_data=None):
+    """A field whose shape is not (n_vertices,) raises GeometryError before
+    the file is opened."""
+    point_data = {name: np.asarray(values, dtype=float)
+                  for name, values in (point_data or {}).items()}
+    for name, values in point_data.items():
+        if values.shape != (mesh.n_vertices,):
+            raise GeometryError(f"point field {name!r} has shape "
+                                f"{values.shape}, mesh vertices have shape "
+                                f"({mesh.n_vertices},)")
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 3.0\n")
         f.write("space-time snapshot\n")
@@ -27,7 +38,6 @@ def write_vtk(path, mesh, point_data=None):
         if point_data:
             f.write(f"POINT_DATA {mesh.n_vertices}\n")
             for name, values in point_data.items():
-                values = np.asarray(values, dtype=float)
                 f.write(f"SCALARS {name} double 1\n")
                 f.write("LOOKUP_TABLE default\n")
                 for v in values:

@@ -73,17 +73,28 @@ def theta_bump(spatial_mesh):
 def coo_jacobian(mesh, layout, u):
     """The state Jacobian, and the same local 3x3 contributions assembled
     the plain way: COO triplets converted to CSC, which sums duplicates.
-    The fixed-pattern assembly must equal the second bit for bit."""
+    Only coupled triplets are kept: all nine of a conducting element, and
+    in a sigma = 0 element those between two vertices with a nonzero
+    x-gradient.  Vertex i's x-gradient is zero when the other two vertices
+    share a time level.  Every dropped triplet must be exactly 0.0.  The
+    fixed-pattern assembly must equal the conversion bit for bit."""
     with mock.patch.object(fem, "_scatter_matrix",
                            wraps=fem._scatter_matrix) as scatter:
         matrix = assemble_state_jacobian(mesh, layout, u)
-    _, dofmap, local = scatter.call_args.args
+    dofmap, local = scatter.call_args.args[1:3]
+    level = mesh.row[mesh.elements]
+    moves = level[:, [1, 2, 0]] != level[:, [2, 0, 1]]
+    coupled = (layout.sigma(mesh.phases) != 0)[:, None, None] \
+        | (moves[:, :, None] & moves[:, None, :])
+    local = local.reshape(-1, 9)
+    coupled = coupled.reshape(-1, 9)
+    assert np.all(local[~coupled] == 0.0)
     dofs = dofmap.vertex_dof[mesh.elements]
     rows = np.repeat(dofs, 3, axis=1)
     cols = np.tile(dofs, (1, 3))
-    valid = (rows >= 0) & (cols >= 0)
+    keep = (rows >= 0) & (cols >= 0) & coupled
     oracle = sp.coo_matrix(
-        (local.reshape(-1, 9)[valid], (rows[valid], cols[valid])),
+        (local[keep], (rows[keep], cols[keep])),
         shape=(dofmap.n_free, dofmap.n_free)).tocsc()
     return matrix, oracle
 

@@ -198,6 +198,22 @@ def test_bad_expression_rejected_with_line():
                      + "[source]\nf = sin(q)\n")
 
 
+@pytest.mark.parametrize("key, text", [
+    ("f", "1/0"), ("j", "1/0"), ("f", "0**-1"), ("j", "0**-1"),
+    ("j", "u/0")])
+def test_constant_division_by_zero_is_a_config_error_at_its_line(
+        tmp_path, capsys, key, text):
+    path = write_cfg(tmp_path, nx=8, nt=8)
+    lines = path.read_text().splitlines()
+    line = next(n for n, ln in enumerate(lines, 1)
+                if ln.startswith(f"{key} = "))
+    lines[line - 1] = f"{key} = {text}"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["solve", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: line {line}: ")
+
+
 def test_curve_material_spec():
     cfg = parse_config(
         "[problem]\ninterfaces = 0.5\n"
@@ -229,6 +245,15 @@ def test_cmd_solve_writes_vtk(tmp_path):
     cfg = write_cfg(tmp_path, nx=10, nt=10)
     assert main(["solve", "--config", str(cfg), "--vtk"]) == 0
     assert (tmp_path / "out" / "solution.vtk").exists()
+
+
+def test_cmd_solve_non_finite_objective_exits_4(tmp_path, capsys):
+    path = write_cfg(tmp_path, nx=8, nt=8)
+    path.write_text(path.read_text().replace("j = u", "j = 1e308"))
+    assert main(["solve", "--config", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("solver error: non-finite objective")
+    assert captured.out == ""
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):

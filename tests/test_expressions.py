@@ -79,6 +79,18 @@ def test_nonconstant_exponent_rejected():
         Expression("x**t", VARS)
 
 
+@pytest.mark.parametrize("text", [
+    "x + 1/0", "sin(x**(1/0))", "0**-1 * x", "(1-1)**-1", "x**(0**-1)",
+    "10**400", "(-8)**0.5", "x/0", "sin(x)/(1-1)",
+])
+def test_constant_that_python_floats_cannot_evaluate_rejected(text):
+    # a constant subtree evaluates in Python floats, which raise a builtin
+    # error or give a complex number where numpy arrays give inf or nan;
+    # the derivative of x/0 divides 0.0 by 0.0 ** 2
+    with pytest.raises(ExpressionError, match="cannot evaluate"):
+        Expression(text, VARS)
+
+
 def test_unbalanced_parentheses_rejected():
     with pytest.raises(ExpressionError):
         Expression("sin(x", VARS)

@@ -12,7 +12,7 @@ from helpers import (J0_LIMIT, coo_jacobian, direct_element_pairing,
                      nonlinear_problem, objective_u, observed_orders,
                      periodic_pairs, same_csc, theta_bump)
 from stshapeopt import (CallableSource, ConstantReluctivity, Identity,
-                        PhaseLayout, PhaseMaterial, Polynomial1D,
+                        Objective, PhaseLayout, PhaseMaterial, Polynomial1D,
                         ReluctivityCurve, assemble_state_jacobian,
                         assemble_state_residual, deform_mesh,
                         evaluate_objective, generate_mesh, solve_adjoint,
@@ -128,6 +128,19 @@ def test_jacobian_equals_coo_assembly_bit_for_bit(problem, size):
     for m in (mesh, deformed):
         matrix, oracle = coo_jacobian(m, layout, small_state(m))
         assert same_csc(matrix, oracle)
+
+
+@pytest.mark.parametrize("problem", [moving_interface_problem,
+                                     nonlinear_problem],
+                         ids=["linear", "curve_law"])
+def test_jacobian_stores_no_exact_zeros(problem):
+    # sigma = 0 elements couple only within a time level; storing their
+    # zero cross-level entries made SuperLU order and fill them
+    mesh, layout, _, _ = problem(24, 16)
+    deformed = deform_mesh(mesh, theta_bump(mesh.spatial_mesh()), 0.03)
+    for m in (mesh, deformed):
+        matrix = assemble_state_jacobian(m, layout, small_state(m))
+        assert np.count_nonzero(matrix.data) == matrix.nnz
 
 
 def test_jacobian_pattern_follows_the_connectivity():
@@ -494,6 +507,16 @@ def test_benchmark_objective_value_and_trend():
     # frozen regression value for the 40x40 mesh
     assert abs(values[40] - 5.383642264e-4) < 1e-9
     assert abs(values[80] - J0_LIMIT) < abs(values[40] - J0_LIMIT)
+
+
+def test_non_finite_objective_raises():
+    mesh, _, _, _ = moving_interface_problem(10)
+    u = Field.zeros(DofMap.from_mesh(mesh))
+    # each element's three quadrature values sum to 3e308, which overflows
+    huge = Objective(j=lambda u: np.full_like(u, 1e308),
+                     jprime=lambda u: np.zeros_like(u))
+    with pytest.raises(AssemblyError, match="non-finite objective"):
+        evaluate_objective(mesh, u, huge)
 
 
 def test_objective_of_unit_field_is_spacetime_volume():

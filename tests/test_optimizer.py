@@ -11,9 +11,9 @@ import stshapeopt.optimizer as opt_mod
 from helpers import (moving_interface_problem, nonlinear_problem,
                      periodic_pairs)
 from stshapeopt import fem
-from stshapeopt import (DescentConfig, hilbertian_direction, line_search,
-                        optimize, pde_volume_densities, solve_adjoint,
-                        solve_state)
+from stshapeopt import (DescentConfig, Objective, hilbertian_direction,
+                        line_search, optimize, pde_volume_densities,
+                        solve_adjoint, solve_state)
 from stshapeopt.derivative import DerivativeDensities
 from stshapeopt.errors import (ConfigError, NonconvergenceError,
                                SolverError)
@@ -150,6 +150,28 @@ def test_line_search_halves_failed_trial_solves(monkeypatch, error):
         return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(opt_mod, "solve_state", failing_first_solve)
+    config = DescentConfig(tau_init=100.0)
+    result = line_search(state, objective, j0, direction,
+                         config.tau_init, config)
+    assert result is not None
+    assert result.trials >= 2
+    assert result.objective_value < j0
+
+
+def test_line_search_halves_trials_with_a_non_finite_objective(monkeypatch):
+    objective, state, j0, direction, _ = descent_setup()
+    real_evaluate = opt_mod.evaluate_objective
+    overflowing = Objective(j=lambda u: np.full_like(u, 1e308),
+                            jprime=objective.jprime)
+    calls = []
+
+    def overflowing_first_trial(mesh, u, objective_):
+        calls.append(1)
+        return real_evaluate(mesh, u,
+                             overflowing if len(calls) == 1 else objective_)
+
+    monkeypatch.setattr(opt_mod, "evaluate_objective",
+                        overflowing_first_trial)
     config = DescentConfig(tau_init=100.0)
     result = line_search(state, objective, j0, direction,
                          config.tau_init, config)

@@ -1,6 +1,10 @@
+import re
+
 import numpy as np
+import pytest
 
 from stshapeopt import Polynomial1D, generate_mesh
+from stshapeopt.errors import GeometryError
 from stshapeopt.vtkio import write_vtk
 
 
@@ -75,3 +79,16 @@ def test_vtk_round_trip(tmp_path):
     assert np.array_equal(cells, mesh.elements)
     assert np.allclose(point_data["u"], u, atol=1e-12)
     assert np.allclose(cell_data["phase"], mesh.phases)
+
+
+@pytest.mark.parametrize("shape", [lambda n: (3,), lambda n: (n, 2)],
+                         ids=["length_3", "two_columns"])
+def test_point_field_of_the_wrong_shape_raises_before_writing(tmp_path,
+                                                              shape):
+    mesh = generate_mesh(6, 4, (0.4, 0.6), Polynomial1D())
+    shape = shape(mesh.n_vertices)
+    path = tmp_path / "snapshot.vtk"
+    with pytest.raises(GeometryError, match=re.escape(
+            f"shape {shape}, mesh vertices have shape ({mesh.n_vertices},)")):
+        write_vtk(path, mesh, point_data={"u": np.zeros(shape)})
+    assert not path.exists()

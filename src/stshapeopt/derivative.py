@@ -155,24 +155,23 @@ def solve_tangent(state, theta):
 
 def _trajectory_samples(mesh, xi_c):
     """Both ends of every sub-interval of the trajectories of the reference
-    points xi_c as points (covering element, time, physical and reference
-    point, each shaped (n_pts, 2 n_t, 2)), the kernel jets there, and the
-    sub-interval lengths."""
+    points xi_c as points (covering element, shaped (1, n_pts, 2 n_t) to be
+    gathered once per sub-interval; time, physical and reference point,
+    each shaped (2, n_pts, 2 n_t)), the jets there, and the lengths."""
     els, t_nodes = trajectory_intervals(mesh, xi_c)
-    t_eval = np.stack([t_nodes[:, :-1], t_nodes[:, 1:]], axis=-1)
-    e_eval = np.broadcast_to(els[:, :, None], t_eval.shape)
-    xi_eval = np.broadcast_to(xi_c[:, None, None], t_eval.shape)
+    t_eval = np.stack([t_nodes[:, :-1], t_nodes[:, 1:]])
+    xi_eval = np.broadcast_to(xi_c[:, None], t_eval.shape)
     x_eval = mesh.motion.forward(t_eval.ravel(),
                                  xi_eval.ravel()[:, None])[:, 0] \
         .reshape(t_eval.shape)
     jets = jet1d(mesh.motion, t_eval, xi_eval)
-    return (e_eval, t_eval, x_eval, xi_eval), jets, np.diff(t_nodes, axis=1)
+    return (els[None], t_eval, x_eval, xi_eval), jets, np.diff(t_nodes, axis=1)
 
 
 def _trajectory_integral(jets, dt, s):
     """Trapezoid time integral of |G| s along each trajectory."""
     weighted = np.abs(jets.G) * s
-    return np.sum(0.5 * dt * (weighted[..., 0] + weighted[..., 1]), axis=1)
+    return np.sum(0.5 * dt * (weighted[0] + weighted[1]), axis=1)
 
 
 def pde_volume_densities(state, p, objective):

@@ -164,9 +164,11 @@ def _derivative(node, var):
         return _add(_mul(_derivative(node[1], var), node[2]),
                     _mul(node[1], _derivative(node[2], var)))
     if kind == "div":
-        num = _sub(_mul(_derivative(node[1], var), node[2]),
-                   _mul(node[1], _derivative(node[2], var)))
-        return ("div", num, ("pow", node[2], 2.0))
+        # (a' - (a/b) b') / b, so that b is never squared: the square of a
+        # tiny constant divisor underflows to a zero Python float
+        num = _sub(_derivative(node[1], var),
+                   _mul(node, _derivative(node[2], var)))
+        return ("div", num, node[2])
     if kind == "pow":
         inner = _derivative(node[1], var)
         return _mul(_mul(("num", node[2]), ("pow", node[1], node[2] - 1.0)),

@@ -84,7 +84,9 @@ class Objective:
 @dataclass(frozen=True)
 class ElementGeometry(MeshGeometry):
     """Mesh geometry, the layout with its sigma per element, and the
-    u-independent blocks, built on first use; one per state solve."""
+    u-independent blocks, built on first use; one per state solve.  The
+    blocks are vertex-major too: (n_e, 3, 3) is the transpose of (3, 3,
+    n_e)."""
 
     sigma: np.ndarray
     layout: object
@@ -92,23 +94,22 @@ class ElementGeometry(MeshGeometry):
     @cached_property
     def conv(self):
         """Convection weights (area / 3) sum_q v_q N_i(q), (n_e, 3)."""
-        return (self.area / 3.0)[:, None] * (self.qp_v @ NQ)
+        return ((self.area / 3.0) * (NQ.T @ self.qp_v.T)).T
 
     @cached_property
     def sigma_block(self):
         """The Jacobian's u-independent blocks, (n_e, 3, 3)."""
-        return (self.sigma * self.area / 3.0)[:, None, None] \
-            * self.grad_t[:, None, :] + self.sigma[:, None, None] \
-            * self.conv[:, :, None] * self.grad_x[:, None, :]
+        grad_t, grad_x = self.grad_t.T[:, None], self.grad_x.T[:, None]
+        return ((self.sigma * self.area / 3.0) * grad_t
+                + self.sigma * self.conv.T * grad_x).T
 
     @cached_property
     def coupled(self):
         """Local Jacobian entries that can be nonzero, (n_e, 3, 3): all of a
         conducting element; in a sigma = 0 element only those between the
         two vertices of its time-level edge, as the third has grad_x = 0."""
-        moves = self.grad_x != 0
-        return (self.sigma != 0)[:, None, None] \
-            | (moves[:, :, None] & moves[:, None, :])
+        moves = self.grad_x.T != 0
+        return ((self.sigma != 0) | (moves[:, None] & moves)).T
 
 
 def element_geometry(mesh, layout):
@@ -124,9 +125,14 @@ def _slope(ue, grad):
 
 
 def _scatter_vector(mesh, dofmap, local):
-    rows = dofmap.vertex_dof[mesh.elements]
-    valid = rows >= 0
-    return np.bincount(rows[valid], local[valid], minlength=dofmap.n_free)
+    """Sum of the local (n_e, 3) contributions per free dof.  bincount adds
+    in input order, so its input is element-major, stacked one vertex column
+    at a time; fixed vertices add into a spare last bin."""
+    bins = np.where(dofmap.vertex_dof >= 0, dofmap.vertex_dof, dofmap.n_free)
+    rows = np.stack(tuple(bins[mesh.elements.T]), axis=1)
+    values = np.stack(tuple(local.T), axis=1)
+    return np.bincount(rows.ravel(), values.ravel(),
+                       minlength=dofmap.n_free + 1)[:-1]
 
 
 _ASSEMBLY_PLAN = [None]
@@ -142,11 +148,13 @@ def _held(cache, key):
 
 def _assembly_plan(dofs, n_free, coupled):
     """CSC pattern of the ``coupled`` local entries, and a CSR matrix S of
-    boolean ones with one row per stored entry, holding the flat ids of the
-    coupled local 3x3 entries it sums in the order COO-to-CSC conversion
-    adds them: a stable bucket by column, SciPy's per-column index sort,
-    then left to right.  S @ local adds each row left to right from 0.0 as
-    that conversion does, bit for bit."""
+    boolean ones with one row per stored entry, summing the coupled local
+    3x3 entries in the order COO-to-CSC conversion of the element-major
+    triplets adds them: a stable bucket by column, SciPy's per-column index
+    sort, then left to right.  An entry's id is its position e + n_e (a +
+    3 b) in the vertex-major local array, so S @ local.ravel(order="F")
+    adds each row left to right from 0.0 as that conversion does, bit for
+    bit."""
     dofs = dofs.astype(np.int32)
     rows = np.repeat(dofs, 3, axis=1).ravel()
     cols = np.tile(dofs, (1, 3)).ravel()
@@ -160,7 +168,9 @@ def _assembly_plan(dofs, n_free, coupled):
     first = np.r_[True, (csc.indices[1:] != csc.indices[:-1])
                   | (cols[1:] != cols[:-1])]
     starts = np.r_[np.flatnonzero(first), len(ids)].astype(np.int32)
-    summation = sp.csr_matrix((np.ones(len(ids), bool), csc.data, starts),
+    position = np.arange(dofs.size * 3, dtype=np.int32).reshape(3, 3, -1)
+    summation = sp.csr_matrix((np.ones(len(ids), bool),
+                               position.T.ravel()[csc.data], starts),
                               shape=(len(starts) - 1, dofs.size * 3))
     return (np.searchsorted(cols[first], bounds).astype(np.int32),
             csc.indices[first], summation)
@@ -172,14 +182,14 @@ def _scatter_matrix(mesh, dofmap, local, coupled):
     _ASSEMBLY_PLAN[0] = (key, plan)
     indptr, indices, summation = plan
     # The cached pattern is copied, so no caller can alter it.
-    return sp.csc_matrix((summation @ local.reshape(-1), indices.copy(),
+    return sp.csc_matrix((summation @ local.ravel(order="F"), indices.copy(),
                           indptr.copy()),
                          shape=(dofmap.n_free, dofmap.n_free))
 
 
 def _load_vector(mesh, geom, dofmap, source):
     f_q = source.values(geom.qp_t, geom.qp_x, geom.qp_xi)
-    local = (geom.area / 3.0)[:, None] * (f_q @ NQ)
+    local = ((geom.area / 3.0) * (NQ.T @ f_q.T)).T
     if not np.all(np.isfinite(local)):
         bad = int(np.nonzero(~np.isfinite(local).all(axis=1))[0][0])
         raise AssemblyError(f"non-finite load contribution in element {bad}")
@@ -190,23 +200,22 @@ def _residual_local(mesh, geom, u_nodal):
     ue = u_nodal[mesh.elements]
     u_t, u_x = _slope(ue, geom.grad_t), _slope(ue, geom.grad_x)
     nu, _ = geom.layout.reluctivity(mesh.phases, np.abs(u_x))
-    local = geom.sigma[:, None] * (u_t[:, None] * (geom.area / 3.0)[:, None]
-                                   + u_x[:, None] * geom.conv)
-    local += (nu * u_x * geom.area)[:, None] * geom.grad_x
+    local = geom.sigma * (u_t * (geom.area / 3.0) + u_x * geom.conv.T)
+    local += (nu * u_x * geom.area) * geom.grad_x.T
     if not np.all(np.isfinite(local)):
-        bad = int(np.nonzero(~np.isfinite(local).all(axis=1))[0][0])
+        bad = int(np.nonzero(~np.isfinite(local).all(axis=0))[0][0])
         raise AssemblyError(f"non-finite residual contribution in element {bad}")
-    return local
+    return local.T
 
 
 def _jacobian_matrix(mesh, geom, dofmap, u_nodal):
     u_x = _slope(u_nodal[mesh.elements], geom.grad_x)
     nu, nu_prime = geom.layout.reluctivity(mesh.phases, np.abs(u_x))
     d_nu = nu + nu_prime * np.abs(u_x)
-    # C order: a flat view of the column-major grad_x products would copy
-    k = np.add(geom.sigma_block, (d_nu * geom.area)[:, None, None]
-               * geom.grad_x[:, :, None] * geom.grad_x[:, None, :], order="C")
-    return _scatter_matrix(mesh, dofmap, k, geom.coupled)
+    # vertex-major (3, 3, n_e), entry [b, a, e] of local entry (a, b)
+    grad_x = geom.grad_x.T
+    k = geom.sigma_block.T + (d_nu * geom.area) * grad_x * grad_x[:, None]
+    return _scatter_matrix(mesh, dofmap, k.T, geom.coupled)
 
 
 def assemble_state_residual(mesh, layout, u, source):
@@ -422,9 +431,9 @@ def objective_gradient_vector(mesh, u, objective):
     """Exact derivative of the discrete objective with respect to the free
     coefficients of u."""
     area = mesh_geometry(mesh).area
-    u_q = u.nodal()[mesh.elements] @ NQ.T
-    local = (area / 3.0)[:, None] * (objective.jprime(u_q) @ NQ)
-    return _scatter_vector(mesh, u.dofmap, local)
+    u_q = (NQ @ u.nodal()[mesh.elements.T]).T
+    local = (area / 3.0) * (NQ.T @ objective.jprime(u_q).T)
+    return _scatter_vector(mesh, u.dofmap, local.T)
 
 
 def solve_adjoint(state, objective):
@@ -452,7 +461,7 @@ def evaluate_objective(mesh, u, objective):
     """Element quadrature of j(u) over the space-time region; a non-finite
     value raises AssemblyError."""
     area = mesh_geometry(mesh).area
-    u_q = u.nodal()[mesh.elements] @ NQ.T
+    u_q = (NQ @ u.nodal()[mesh.elements.T]).T
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         value = float(np.sum((area / 3.0)
                              * np.sum(objective.j(u_q), axis=1)))

@@ -9,6 +9,9 @@ which makes the generalized time-periodic identification an index map.
 
 Deformations move the spatial reference nodes only (per-node displacement),
 so a deformation followed by its negation restores the mesh exactly.
+
+Per-element arrays are vertex-major: an (n_e, 3) array is the transpose of
+a C-contiguous (3, n_e) one, so each numpy operation runs one long loop.
 """
 
 import numbers
@@ -115,8 +118,8 @@ class SpaceTimeMesh:
         """Element areas, positive for the stored orientation; computed
         once per mesh and read-only."""
         t, x = _element_coordinates(self)
-        area = 0.5 * ((t[:, 1] - t[:, 0]) * (x[:, 2] - x[:, 0])
-                      - (x[:, 1] - x[:, 0]) * (t[:, 2] - t[:, 0]))
+        area = 0.5 * ((t[1] - t[0]) * (x[2] - x[0])
+                      - (x[1] - x[0]) * (t[2] - t[0]))
         area.setflags(write=False)
         return area
 
@@ -126,16 +129,17 @@ class SpaceTimeMesh:
 
 
 def _element_coordinates(mesh):
-    """Vertex t and x per element, as contiguous (n_e, 3) arrays."""
-    return (mesh.vertices[:, 0][mesh.elements],
-            mesh.vertices[:, 1][mesh.elements])
+    """Vertex t and x per element, as C-contiguous (3, n_e) arrays."""
+    return (mesh.vertices[:, 0][mesh.elements.T],
+            mesh.vertices[:, 1][mesh.elements.T])
 
 
 @dataclass(frozen=True)
 class MeshGeometry:
     """Per-element geometry and quadrature of a space-time mesh: areas, P1
     basis gradients in (t, x), and the NQ points with their reference
-    coordinate and flow velocity.  Arrays are shared and read-only."""
+    coordinate and flow velocity.  Arrays are shared, read-only and
+    vertex-major."""
 
     area: np.ndarray           # (n_e,)
     grad_t: np.ndarray         # (n_e, 3)
@@ -152,25 +156,25 @@ def mesh_geometry(mesh):
 
     One entry keeps the state, adjoint and density passes over a mesh on a
     single motion inversion without holding earlier meshes alive.  It
-    works per coordinate on contiguous arrays, several times faster than on
-    the strided ``vertices[elements]``; the quadrature points sum vertex by
-    vertex, left to right, as ``einsum("qi,eid->eqd", NQ, ...)`` does.
+    works row by row on the (3, n_e) coordinates; the quadrature points sum
+    vertex by vertex, left to right, as ``einsum("qi,eid->eqd", NQ, ...)``
+    does.
     """
     area = mesh.signed_areas
     t, x = _element_coordinates(mesh)
     # grad N_i = rotate(v_{i+1} - v_{i+2}) / (2A) in (t, x) coordinates
-    two_a = 2.0 * area[:, None]
-    grad_t = (x[:, [1, 2, 0]] - x[:, [2, 0, 1]]) / two_a
-    grad_x = -(t[:, [1, 2, 0]] - t[:, [2, 0, 1]]) / two_a
+    two_a = 2.0 * area
+    grad_t = (x[[1, 2, 0]] - x[[2, 0, 1]]) / two_a
+    grad_x = -(t[[1, 2, 0]] - t[[2, 0, 1]]) / two_a
 
-    qp_t, qp_x = (c[:, :1] * NQ[:, 0] + c[:, 1:2] * NQ[:, 1]
-                  + c[:, 2:] * NQ[:, 2] for c in (t, x))
+    qp_t, qp_x = (NQ[:, :1] * c[0] + NQ[:, 1:2] * c[1] + NQ[:, 2:] * c[2]
+                  for c in (t, x))
     flat_xi = mesh.motion.inverse(qp_t.ravel(), qp_x.ravel()[:, None])[:, 0]
     qp_v = mesh.motion.dt(qp_t.ravel(), flat_xi[:, None])[:, 0]
-    geom = MeshGeometry(area=area, grad_t=grad_t, grad_x=grad_x,
-                        qp_t=qp_t, qp_x=qp_x,
-                        qp_xi=flat_xi.reshape(qp_t.shape),
-                        qp_v=qp_v.reshape(qp_t.shape))
+    geom = MeshGeometry(area=area, grad_t=grad_t.T, grad_x=grad_x.T,
+                        qp_t=qp_t.T, qp_x=qp_x.T,
+                        qp_xi=flat_xi.reshape(qp_t.shape).T,
+                        qp_v=qp_v.reshape(qp_t.shape).T)
     for array in vars(geom).values():
         array.setflags(write=False)
     return geom
@@ -229,16 +233,15 @@ def generate_mesh(n_x, n_t, interfaces, motion, t_final=1.0):
     region = np.searchsorted(interfaces, centroids)
     cell_phase = np.where(region % 2 == 1, 1, 2)
 
-    # Cells in row-major (slab j, column i) order, two elements per cell.
+    # Cells in row-major (slab j, column i) order, two elements per cell;
+    # built as the C-contiguous elements.T.
     j, i = np.divmod(np.arange(n_t * n_x), n_x)
     p00 = j * (n_x + 1) + i
     p01, p10, p11 = p00 + 1, p00 + n_x + 1, p00 + n_x + 2
-    rising = ((i + j) % 2 == 0)[:, None]
-    first = np.where(rising, np.column_stack([p00, p11, p01]),
-                     np.column_stack([p00, p10, p01]))
-    second = np.where(rising, np.column_stack([p00, p10, p11]),
-                      np.column_stack([p01, p10, p11]))
-    elements = np.stack([first, second], axis=1).reshape(-1, 3)
+    rising = (i + j) % 2 == 0
+    first = np.where(rising, [p00, p11, p01], [p00, p10, p01])
+    second = np.where(rising, [p00, p10, p11], [p01, p10, p11])
+    elements = np.stack([first, second], axis=2).reshape(3, -1).T
     phases = np.repeat(cell_phase[i], 2)
 
     mesh = SpaceTimeMesh(vertices=vertices, elements=elements, phases=phases,

@@ -321,6 +321,18 @@ def test_cmd_check_gradient_passes_on_benchmark(tmp_path, capsys):
     assert "observed order" in out
 
 
+def test_cmd_check_gradient_states_an_exact_match_in_words(tmp_path,
+                                                          capsys):
+    # J = 0 on every design: the difference quotients and the adjoint
+    # pairing agree exactly, and a successful run prints no inf
+    path = write_cfg(tmp_path, nx=8, nt=8)
+    path.write_text(path.read_text().replace("j = u", "j = 0"))
+    assert main(["check-gradient", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "observed order: infinite," in out
+    assert not {"inf", "-inf", "nan"} & set(out.lower().split())
+
+
 def test_cmd_check_gradient_prints_the_same_with_the_handed_factor(
         tmp_path, monkeypatch, capsys):
     cfg = write_cfg(tmp_path, nx=16, nt=16)

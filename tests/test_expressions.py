@@ -58,6 +58,12 @@ def test_derivative_matches_finite_difference(text):
         assert abs(d(t=0.4, x=x, xref=0.0) - fd) < 1e-8 * (abs(fd) + 1.0)
 
 
+def test_quotient_rule_does_not_square_a_tiny_constant_divisor():
+    # 1e-200 ** 2 underflows to 0.0, a ZeroDivisionError in Python floats
+    d = Expression("u/1e-200", ("u",)).derivative("u")
+    assert np.all(d(u=np.ones(2)) == 1e200)
+
+
 def test_derivative_of_unused_variable_is_zero():
     e = Expression("sin(pi*t)", VARS)
     d = e.derivative("x")

@@ -25,6 +25,7 @@ from stshapeopt.fem import (LU_PANEL_SIZE, LU_RELAX, NQ, DofMap, Field,
                             LinearSystem, NewtonOptions,
                             _residual_local, element_geometry,
                             objective_gradient_vector)
+from stshapeopt.mesh import mesh_geometry
 
 RNG = np.random.default_rng(23)
 
@@ -141,6 +142,21 @@ def test_jacobian_stores_no_exact_zeros(problem):
     for m in (mesh, deformed):
         matrix = assemble_state_jacobian(m, layout, small_state(m))
         assert np.count_nonzero(matrix.data) == matrix.nnz
+
+
+def test_per_element_arrays_are_vertex_major():
+    # each (n_e, 3) or (n_e, 3, 3) array is the transpose of a C-contiguous
+    # one whose last axis is the element, so numpy loops over the elements
+    mesh, layout, _, _ = moving_interface_problem(12, 8)
+    deformed = deform_mesh(mesh, theta_bump(mesh.spatial_mesh()), 0.03)
+    for m in (mesh, deformed):
+        base = [a for a in vars(mesh_geometry(m)).values() if a.ndim == 2]
+        assert len(base) == 6
+        geom = element_geometry(m, layout)
+        for a in [m.elements, *base, geom.conv, geom.sigma_block,
+                  geom.coupled]:
+            assert a.shape[0] == m.n_elements
+            assert a.flags.f_contiguous and not a.flags.c_contiguous
 
 
 def test_jacobian_pattern_follows_the_connectivity():

@@ -23,7 +23,7 @@ from .materials import (ConstantReluctivity, PhaseLayout, PhaseMaterial,
                         ReluctivityCurve)
 from .mesh import check_mesh_args, generate_mesh
 from .motion import Identity, Polynomial1D
-from .sources import SOURCE_VARIABLES, AnalyticSource, ZeroSource
+from .sources import SOURCE_VARIABLES, AnalyticSource
 from .fem import Objective
 from .optimizer import DescentConfig
 
@@ -40,7 +40,7 @@ class RunConfig:
     motion_name: str
     phase_sigma: dict
     phase_nu: dict
-    source_expr: Expression     # None for the zero source "f = 0"
+    source_expr: Expression
     n_x: int
     n_t: int
     objective_expr: Expression
@@ -66,16 +66,11 @@ class RunConfig:
         mesh = generate_mesh(self.n_x, self.n_t, self.interfaces, motion,
                              t_final=self.t_final)
         layout = self.layout()
-        if self.source_expr is None:
-            source = ZeroSource()
-        else:
-            source = AnalyticSource(self.source_expr, motion)
+        source = AnalyticSource(self.source_expr, motion)
         j_expr = self.objective_expr
         jp_expr = j_expr.derivative("u")
-        objective = Objective(
-            j=lambda u: np.broadcast_to(j_expr(u=u), np.shape(u)).astype(float),
-            jprime=lambda u: np.broadcast_to(jp_expr(u=u),
-                                             np.shape(u)).astype(float))
+        objective = Objective(j=lambda u: j_expr(u=u),
+                              jprime=lambda u: jp_expr(u=u))
         return mesh, layout, source, objective
 
 
@@ -206,8 +201,8 @@ def parse_config(text):
         if not all(pid in laws for laws in phase_laws.values()):
             raise ConfigError(f"phase {pid} needs both sigma and nu entries")
 
-    source_expr = entry("source", "f", lambda t: None if t == "0"
-                        else Expression(t, SOURCE_VARIABLES), default="0")
+    source_expr = entry("source", "f",
+                        lambda t: Expression(t, SOURCE_VARIABLES), default="0")
     n_x = entry("discretization", "nx", _mesh_arg("n_x", int))
     n_t = entry("discretization", "nt", _mesh_arg("n_t", int))
     entry("discretization", "quadrature", _checked(

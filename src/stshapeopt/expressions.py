@@ -2,10 +2,11 @@
 
 The text must be one expression built from numbers, named variables, `pi`,
 the operators + - * / ** (also ^, which means **), unary minus, parentheses
-and the functions sqrt, sin, cos.  Exponents must be numeric constants.  It
-is parsed with Python's `ast`; any other Python syntax is rejected.
-Expressions evaluate over numpy arrays and carry exact symbolic derivatives
-with respect to their variables.
+and the functions sqrt, sin, cos; it is parsed with Python's `ast`, and any
+other Python syntax is rejected.  An exponent must be made of numbers alone,
+every part made of numbers alone must be a finite real number, and none may
+be a zero divisor.  Expressions evaluate over numpy arrays and carry exact
+symbolic derivatives with respect to their variables.
 """
 
 import ast
@@ -17,37 +18,28 @@ from .errors import ExpressionError
 FUNCTIONS = ("sqrt", "sin", "cos")
 
 
-def _fold_constant(node):
-    if node[0] in ("num", "var", "call"):
-        return node
-    if node[0] == "pow":
-        base = _fold_constant(node[1])
-        if base[0] == "num":
-            return ("num", base[1] ** node[2])
-        return node
-    a = _fold_constant(node[1])
-    b = _fold_constant(node[2])
-    if a[0] == "num" and b[0] == "num":
-        ops = {"add": lambda x, y: x + y, "sub": lambda x, y: x - y,
-               "mul": lambda x, y: x * y, "div": lambda x, y: x / y}
-        return ("num", ops[node[0]](a[1], b[1]))
-    return (node[0], a, b)
+def _value(tree, node):
+    """Value of ``tree`` if it is made of numbers alone, else None.  It is
+    evaluated as at run time, under `_parse`'s errstate that raises every
+    floating-point error, and must be a finite real number; a divisor made
+    of numbers alone must not be zero.  An error names the ast ``node``."""
+    try:
+        value = _evaluate(tree, {})
+    except KeyError:  # a variable
+        if tree[0] != "div" or _value(tree[2], node) != 0.0:
+            return None
+        problem = "it divides by zero"
+    except ArithmeticError as exc:
+        problem = exc
+    else:
+        if not isinstance(value, complex) and abs(value) < np.inf:
+            return float(value)
+        problem = "it is not a finite real number"
+    raise ExpressionError(f"cannot evaluate {ast.unparse(node)!r}: {problem}")
 
 
 def _checked(tree, node):
-    """``tree``, once its constant subtrees fold to a real number and no
-    divisor is a constant zero: Python floats raise on a zero divisor or an
-    overflowing power where numpy arrays give inf, so the parser reports
-    it, not the first evaluation or that of the symbolic derivative."""
-    try:
-        folded = _fold_constant(tree)
-    except ArithmeticError as exc:
-        raise ExpressionError(f"cannot evaluate {ast.unparse(node)!r}: "
-                              f"{exc}") from None
-    if folded[0] == "num" and isinstance(folded[1], complex) \
-            or folded[0] == "div" and folded[2] == ("num", 0.0):
-        raise ExpressionError(f"cannot evaluate {ast.unparse(node)!r}: "
-                              f"it has no real value")
+    _value(tree, node)
     return tree
 
 
@@ -91,7 +83,8 @@ def _parse(text):
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {text!r}: {exc.msg}") from None
-    return _convert(tree.body, source.encode().splitlines())
+    with np.errstate(all="raise"):
+        return _convert(tree.body, source.encode().splitlines())
 
 
 _BINARY = {ast.Add: _add, ast.Sub: _sub, ast.Mult: _mul,
@@ -106,10 +99,11 @@ def _convert(node, lines):
         # float() of the literal's text rejects 0x1F, 1j, True and strings
         literal = lines[node.lineno - 1][node.col_offset:node.end_col_offset]
         try:
-            return ("num", float(literal))
+            number = float(literal)
         except ValueError:
             raise ExpressionError(
                 f"unsupported literal {literal.decode()!r}") from None
+        return _checked(("num", number), node)
     elif isinstance(node, ast.Name):
         return ("num", np.pi) if node.id == "pi" else ("var", node.id)
     elif op is ast.USub:
@@ -119,14 +113,15 @@ def _convert(node, lines):
                                     _convert(node.right, lines)), node)
     elif op is ast.Pow:
         base = _convert(node.left, lines)
-        exponent = _fold_constant(_convert(node.right, lines))
-        if exponent[0] != "num":
+        exponent = _value(_convert(node.right, lines), node.right)
+        if exponent is None:
             raise ExpressionError("exponent must be a numeric constant")
-        return _checked(("pow", base, exponent[1]), node)
+        return _checked(("pow", base, exponent), node)
     elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
           and node.func.id in FUNCTIONS and len(node.args) == 1
           and not node.keywords):
-        return ("call", node.func.id, _convert(node.args[0], lines))
+        return _checked(("call", node.func.id,
+                         _convert(node.args[0], lines)), node)
     raise ExpressionError(f"unsupported expression {ast.unparse(node)!r}")
 
 
@@ -215,10 +210,13 @@ class Expression:
                 f"allowed: {list(self.variables)}")
 
     def __call__(self, **env):
+        """Value as a new float array of the variables' broadcast shape."""
         missing = set(self.variables) - set(env)
         if missing:
             raise ExpressionError(f"missing variable(s) {sorted(missing)}")
-        return _evaluate(self.node, env)
+        shape = np.broadcast_shapes(*(np.shape(env[v])
+                                      for v in self.variables))
+        return np.broadcast_to(_evaluate(self.node, env), shape).astype(float)
 
     def derivative(self, var):
         if var not in self.variables:

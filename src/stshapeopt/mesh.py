@@ -247,8 +247,8 @@ def generate_mesh(n_x, n_t, interfaces, motion, t_final=1.0):
     mesh = SpaceTimeMesh(vertices=vertices, elements=elements, phases=phases,
                          column=column, row=row, xi_nodes=xi, t_grid=t_grid,
                          motion=motion)
-    if np.any(mesh.signed_areas <= 0.0):
-        raise GeometryError("generated mesh has non-positive element areas")
+    if not np.all((mesh.signed_areas > 0.0) & (mesh.signed_areas < np.inf)):
+        raise GeometryError("mesh has non-finite or non-positive element areas")
     return mesh
 
 
@@ -273,7 +273,7 @@ def deform_mesh(mesh, theta, tau):
     x_v = mesh.motion.forward(t_v, new_xi_nodes[mesh.column][:, None])[:, 0]
     new = replace(mesh, vertices=np.column_stack([t_v, x_v]),
                   xi_nodes=new_xi_nodes)
-    if np.any(new.signed_areas <= 0.0):
+    if not np.all(new.signed_areas > 0.0):
         raise InvertedElementError(
             f"deformation with step {tau} inverts an element")
     return new

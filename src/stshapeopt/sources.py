@@ -53,13 +53,9 @@ class AnalyticSource:
         self._dxref = expression.derivative("xref")
 
     def values(self, t, x, xi):
-        return np.broadcast_to(
-            self.expression(t=t, x=x, xref=xi),
-            np.broadcast_shapes(np.shape(t), np.shape(x))).astype(float)
+        return self.expression(t=t, x=x, xref=xi)
 
     def gradient(self, t, x, xi):
         g = jet1d(self.motion, np.asarray(t, dtype=float),
                   np.asarray(xi, dtype=float)).G
-        val = self._dx(t=t, x=x, xref=xi) + self._dxref(t=t, x=x, xref=xi) / g
-        return np.broadcast_to(val, np.broadcast_shapes(
-            np.shape(t), np.shape(x))).astype(float)
+        return self._dx(t=t, x=x, xref=xi) + self._dxref(t=t, x=x, xref=xi) / g

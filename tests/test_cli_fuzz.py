@@ -71,7 +71,7 @@ def numbers_in(text):
             pass
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # e.g. 1/(x-x)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(text=configs(),
        command=st.sampled_from(["solve", "optimize", "check-gradient"]),

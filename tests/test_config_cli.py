@@ -198,11 +198,7 @@ def test_bad_expression_rejected_with_line():
                      + "[source]\nf = sin(q)\n")
 
 
-@pytest.mark.parametrize("key, text", [
-    ("f", "1/0"), ("j", "1/0"), ("f", "0**-1"), ("j", "0**-1"),
-    ("j", "u/0")])
-def test_constant_division_by_zero_is_a_config_error_at_its_line(
-        tmp_path, capsys, key, text):
+def assert_config_error_at_its_line(tmp_path, capsys, key, text):
     path = write_cfg(tmp_path, nx=8, nt=8)
     lines = path.read_text().splitlines()
     line = next(n for n, ln in enumerate(lines, 1)
@@ -212,6 +208,22 @@ def test_constant_division_by_zero_is_a_config_error_at_its_line(
     assert main(["solve", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith(
         f"configuration error: line {line}: ")
+
+
+@pytest.mark.parametrize("key, text", [
+    ("f", "1/0"), ("j", "1/0"), ("f", "0**-1"), ("j", "0**-1"),
+    ("j", "u/0")])
+def test_constant_division_by_zero_is_a_config_error_at_its_line(
+        tmp_path, capsys, key, text):
+    assert_config_error_at_its_line(tmp_path, capsys, key, text)
+
+
+@pytest.mark.parametrize("key, text", [
+    ("f", "1/sin(0)"), ("j", "u/sqrt(0)"), ("f", "sqrt(-1)"),
+    ("j", "1e309")])
+def test_constant_part_without_a_finite_value_is_a_config_error_at_its_line(
+        tmp_path, capsys, key, text):
+    assert_config_error_at_its_line(tmp_path, capsys, key, text)
 
 
 def test_curve_material_spec():

@@ -97,6 +97,29 @@ def test_constant_that_python_floats_cannot_evaluate_rejected(text):
         Expression(text, VARS)
 
 
+@pytest.mark.parametrize("text", ["1/sin(0)", "u/sqrt(0)", "sqrt(-1)",
+                                  "1e309"])
+def test_constant_part_is_checked_by_evaluating_it(text):
+    # a function call evaluates in numpy, where a zero divisor gives inf
+    # and sqrt(-1) nan; the literal 1e309 is inf already
+    with pytest.raises(ExpressionError, match="cannot evaluate"):
+        Expression(text, ("u",))
+
+
+def test_exponent_may_be_any_constant_part():
+    u = np.linspace(-2.0, 2.0, 9)
+    e = Expression("u**sqrt(4)", ("u",))
+    assert e.node == Expression("u**2", ("u",)).node
+    assert np.array_equal(e(u=u), u**2)
+
+
+@pytest.mark.parametrize("text", ["2", "x", "x*t"])
+def test_value_is_a_new_float_array_of_the_variables_shape(text):
+    value = Expression(text, ("t", "x"))(t=1, x=np.zeros((2, 3), dtype=int))
+    assert value.dtype == float and value.shape == (2, 3)
+    assert value.flags.writeable
+
+
 def test_unbalanced_parentheses_rejected():
     with pytest.raises(ExpressionError):
         Expression("sin(x", VARS)

@@ -72,6 +72,14 @@ def test_too_many_interfaces_for_the_grid_raise():
         generate_mesh(4, 2, (0.2, 0.3, 0.4, 0.5, 0.6), Identity(dim=1))
 
 
+def test_generated_mesh_with_non_finite_areas_raises():
+    # at t_final = 1e160 the vertices are finite, but 35 of the 128 areas
+    # are nan and 85 inf; a nan area compares False with 0
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(GeometryError, match="non-finite or non-positive"):
+        generate_mesh(8, 8, (0.4, 0.6), Polynomial1D(), t_final=1e160)
+
+
 def test_deform_zero_step_is_identity():
     mesh = generate_mesh(8, 4, (0.4, 0.6), Polynomial1D())
     theta = np.sin(np.pi * mesh.xi_nodes)
@@ -121,6 +129,17 @@ def test_deform_inversion_raises():
     theta[4] = 1.0
     with pytest.raises(InvertedElementError):
         deform_mesh(mesh, theta, 1.0)
+
+
+def test_deformation_to_a_nan_area_raises():
+    # the motion has no value near 0.515, where the step moves node 4
+    motion = CustomMotion(1, lambda t, x: np.where(
+        np.abs(x - 0.515) < 1e-3, np.nan, x), None, None, None, None)
+    mesh = generate_mesh(8, 4, (0.4, 0.6), motion)
+    theta = np.zeros(9)
+    theta[4] = 1.0
+    with pytest.raises(InvertedElementError):
+        deform_mesh(mesh, theta, 0.015)
 
 
 @pytest.mark.parametrize("end", [0, -1], ids=["left", "right"])

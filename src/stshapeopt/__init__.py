@@ -16,6 +16,6 @@ from .mesh import SpaceTimeMesh, SpatialMesh, deform_mesh, generate_mesh
 from .motion import CustomMotion, Identity, Polynomial1D, Rotation2D
 from .optimizer import (DescentConfig, OptimizationReport,
                         hilbertian_direction, line_search, optimize)
-from .sources import AnalyticSource, CallableSource, ZeroSource
+from .sources import AnalyticSource, CallableSource
 
 __version__ = "0.1.0"

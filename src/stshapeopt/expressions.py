@@ -21,8 +21,9 @@ FUNCTIONS = ("sqrt", "sin", "cos")
 def _value(tree, node):
     """Value of ``tree`` if it is made of numbers alone, else None.  It is
     evaluated as at run time, under `_parse`'s errstate that raises every
-    floating-point error, and must be a finite real number; a divisor made
-    of numbers alone must not be zero.  An error names the ast ``node``."""
+    floating-point error but underflow, and must be a finite real number;
+    a divisor made of numbers alone must not be zero.  An error names the
+    ast ``node``."""
     try:
         value = _evaluate(tree, {})
     except KeyError:  # a variable
@@ -83,7 +84,7 @@ def _parse(text):
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {text!r}: {exc.msg}") from None
-    with np.errstate(all="raise"):
+    with np.errstate(all="raise", under="ignore"):
         return _convert(tree.body, source.encode().splitlines())
 
 

@@ -28,14 +28,6 @@ class CallableSource:
         return self._gradient(t, x, xi)
 
 
-class ZeroSource:
-    def values(self, t, x, xi):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def gradient(self, t, x, xi):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-
 class AnalyticSource:
     """Source from an expression in (t, x, xref).
 

@@ -6,7 +6,7 @@ from helpers import (direct_magnetization_pairing, direct_volume_pairing,
                      nonlinear_problem, objective_u, theta_bump)
 from stshapeopt import (AnalyticSource, ConstantReluctivity, Identity,
                         Objective, PhaseLayout, PhaseMaterial, Polynomial1D,
-                        Rotation2D, ZeroSource, academic_objective,
+                        Rotation2D, academic_objective,
                         academic_surface_derivative,
                         academic_volume_derivative, deform_mesh,
                         generate_mesh, magnetization_supplement,
@@ -41,8 +41,8 @@ def test_academic_zero_deformation():
 
 def test_academic_surface_zero_integrand():
     mesh, _, _, _ = moving_interface_problem(12)
-    assert academic_surface_derivative(mesh, ZeroSource(),
-                                       random_theta(13)) == 0.0
+    zero = AnalyticSource("0", mesh.motion)
+    assert academic_surface_derivative(mesh, zero, random_theta(13)) == 0.0
 
 
 def test_academic_surface_identity_endpoint_bookkeeping():
@@ -149,7 +149,7 @@ def test_academic_surface_density_polynomial_value():
 
 def test_trivial_densities_vanish():
     mesh, layout, _, _ = moving_interface_problem(8)
-    state = solve_state(mesh, layout, ZeroSource())
+    state = solve_state(mesh, layout, AnalyticSource("0", mesh.motion))
     p = Field.zeros(DofMap.from_mesh(mesh))
     zero_obj = Objective(j=lambda v: np.zeros_like(v),
                          jprime=lambda v: np.zeros_like(v))

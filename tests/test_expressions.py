@@ -106,6 +106,16 @@ def test_constant_part_is_checked_by_evaluating_it(text):
         Expression(text, ("u",))
 
 
+@pytest.mark.parametrize("text, value", [
+    ("sin(1)*1e-310", np.sin(1.0) * 1e-310),
+    ("u*cos(1)**2000", 0.0),
+], ids=["sin(1)*1e-310", "u*cos(1)**2000"])
+def test_constant_part_that_underflows_accepted(text, value):
+    # a subnormal or zero constant part is still a finite real number
+    e = Expression(text, ("u",))
+    assert np.array_equal(e(u=np.ones(2)), np.full(2, value))
+
+
 def test_exponent_may_be_any_constant_part():
     u = np.linspace(-2.0, 2.0, 9)
     e = Expression("u**sqrt(4)", ("u",))

@@ -11,9 +11,9 @@ import stshapeopt.optimizer as opt_mod
 from helpers import (moving_interface_problem, nonlinear_problem,
                      periodic_pairs)
 from stshapeopt import fem
-from stshapeopt import (DescentConfig, Objective, hilbertian_direction,
-                        line_search, optimize, pde_volume_densities,
-                        solve_adjoint, solve_state)
+from stshapeopt import (AnalyticSource, DescentConfig, Objective,
+                        hilbertian_direction, line_search, optimize,
+                        pde_volume_densities, solve_adjoint, solve_state)
 from stshapeopt.derivative import DerivativeDensities
 from stshapeopt.errors import (ConfigError, NonconvergenceError,
                                SolverError)
@@ -206,8 +206,8 @@ def test_optimize_calls_back_once_per_accepted_step():
 
 def test_optimize_zero_source_stops_at_origin():
     mesh, layout, _, objective = moving_interface_problem(10)
-    from stshapeopt import ZeroSource
-    report = optimize(mesh, layout, ZeroSource(), objective, DescentConfig())
+    report = optimize(mesh, layout, AnalyticSource("0", mesh.motion),
+                      objective, DescentConfig())
     assert report.termination == "theta_tolerance"
     assert len(report.records) == 1
     assert report.records[0].objective == 0.0

@@ -16,6 +16,21 @@ import numpy as np
 from .errors import ExpressionError
 
 FUNCTIONS = ("sqrt", "sin", "cos")
+# Deepest nesting of operations and calls; at it the deepest first derivative
+# (three levels per nested quotient) and ast.unparse of an error's text stay
+# well within Python's default recursion limit of 1000.
+MAX_DEPTH = 200
+
+
+def _depth(node):
+    """Nesting depth of an ast expression, counted without recursion."""
+    depth, level = 0, [node]
+    while level:
+        depth += 1
+        level = [child for parent in level
+                 for child in ast.iter_child_nodes(parent)
+                 if isinstance(child, ast.expr)]
+    return depth
 
 
 def _value(tree, node):
@@ -84,6 +99,11 @@ def _parse(text):
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {text!r}: {exc.msg}") from None
+    except RecursionError:
+        tree = None
+    if tree is None or _depth(tree.body) > MAX_DEPTH:
+        raise ExpressionError(f"expression is nested deeper than {MAX_DEPTH} "
+                              f"levels")
     with np.errstate(all="raise", under="ignore"):
         return _convert(tree.body, source.encode().splitlines())
 

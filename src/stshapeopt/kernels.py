@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .motion import grad_inverse
+
 
 @dataclass(frozen=True)
 class PullbackLinearForm:
@@ -38,7 +40,7 @@ def _jet(motion, t, x):
     x = np.asarray(x, dtype=float)
     xi = motion.inverse(t, x)
     g = motion.grad(t, xi)
-    ginv = np.linalg.inv(g)
+    ginv = grad_inverse(g)
     h = motion.grad2(t, xi)
     vhat = motion.dt(t, xi)
     w = motion.dt_grad(t, xi)

@@ -38,10 +38,6 @@ class ConstantReluctivity:
             raise MaterialError(f"reluctivity must be positive and finite, "
                                 f"got {self.value}")
 
-    @property
-    def is_constant(self):
-        return True
-
     def eval(self, s):
         s = _check_s(s)
         return np.full_like(s, self.value), np.zeros_like(s)
@@ -73,10 +69,6 @@ class ReluctivityCurve:
         exp(-z)(c3 z - 1) over z = c2 s**c3 >= 0, attained at z = 1 + 1/c3."""
         return self.nu_a + (self.nu_a - self.c1) * self.c3 \
             * np.exp(-(1.0 + 1.0 / self.c3))
-
-    @property
-    def is_constant(self):
-        return False
 
     def eval(self, s):
         s = _check_s(s)
@@ -141,7 +133,8 @@ class PhaseLayout:
 
     @property
     def all_constant(self):
-        return all(m.nu.is_constant for m in self.materials.values())
+        return all(isinstance(m.nu, ConstantReluctivity)
+                   for m in self.materials.values())
 
 
 def arkkio_q(x):
@@ -183,8 +176,9 @@ def arkkio_torque(points, triangles, u, r_inner, r_outer, length, nu_air):
         a, b, c = points[tri]
         d1, d2 = b - a, c - a
         area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
-        mat = np.array([[b[0] - a[0], c[0] - a[0]],
-                        [b[1] - a[1], c[1] - a[1]]])
+        if not area > 0.0:
+            raise GeometryError(f"triangle {e} in the annulus has no area")
+        mat = np.column_stack((d1, d2))
         grads_ref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
         grads = grads_ref @ np.linalg.inv(mat)
         grad_u = u[tri] @ grads

@@ -3,9 +3,13 @@
 A motion is a time-dependent diffeomorphism ``phi_t`` with ``phi_0 = Id``,
 together with its hand-coded derivatives: every subclass of ``Motion``
 defines ``forward``, ``grad``, ``grad2``, ``dt`` and ``dt_grad``, from which
-the base class derives ``det``, ``inverse`` and the velocities.  All methods
-are numpy-batched: ``x`` has shape ``(..., dim)`` and ``t`` broadcasts
-against the batch shape.  Derivative conventions:
+the base class derives ``det``, ``inverse`` and the velocities; only
+``Polynomial1D.inverse`` (closed form) and ``Rotation2D.det`` (exactly 1)
+override a derived method.  ``Motion.inverse`` is a Newton iteration that
+stops when every residual component is below ``1e-14 max(1, |y|_inf)``, so
+it holds at any scale.  All methods are numpy-batched: ``x`` has shape
+``(..., dim)`` and ``t`` broadcasts against the batch shape.  Derivative
+conventions:
 
     grad(t, x)[..., i, j]     = d phi_i / d x_j
     grad2(t, x)[..., i, j, k] = d^2 phi_i / d x_j d x_k
@@ -24,6 +28,15 @@ _NEWTON_TOL = 1e-14
 _NEWTON_MAX_ITER = 50
 
 
+def grad_inverse(g):
+    """Inverse of a batch of motion gradients ``g[..., i, j]``; a singular one
+    raises GeometryError."""
+    try:
+        return np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        raise GeometryError("motion gradient is singular") from None
+
+
 class Motion:
     """Base class of the motions; see the module docstring."""
 
@@ -36,23 +49,17 @@ class Motion:
         return np.linalg.det(g)
 
     def inverse(self, t, y):
-        """Newton inversion of ``x -> phi_t(x)``; subclasses may override."""
+        """Newton inversion of ``x -> phi_t(x)``."""
         y = np.asarray(y, dtype=float)
+        scale = np.maximum(1.0, np.abs(y).max(axis=-1, keepdims=True))
         xi = y.copy()
         for _ in range(_NEWTON_MAX_ITER):
             r = self.forward(t, xi) - y
             if not np.all(np.isfinite(r)):
                 break
-            if np.max(np.abs(r)) < _NEWTON_TOL:
+            if np.all(np.abs(r) < _NEWTON_TOL * scale):
                 return xi
-            g = self.grad(t, xi)
-            # a singular step signals leaving the image; caught below
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if self.dim == 1:
-                    step = r / g[..., 0]
-                else:
-                    step = np.linalg.solve(g, r[..., None])[..., 0]
-            xi = xi - step
+            xi = xi - (grad_inverse(self.grad(t, xi)) @ r[..., None])[..., 0]
             if not np.all(np.isfinite(xi)):
                 break
         raise GeometryError("motion inversion did not converge; point may lie "
@@ -64,11 +71,7 @@ class Motion:
     def velocity_grad(self, t, y):
         """Spatial Jacobian of the Eulerian velocity field."""
         xi = self.inverse(t, y)
-        w = self.dt_grad(t, xi)
-        g = self.grad(t, xi)
-        if self.dim == 1:
-            return w / g
-        return w @ np.linalg.inv(g)
+        return self.dt_grad(t, xi) @ grad_inverse(self.grad(t, xi))
 
 
 class Identity(Motion):
@@ -77,9 +80,6 @@ class Identity(Motion):
 
     def forward(self, t, x):
         return np.array(x, dtype=float, copy=True)
-
-    def inverse(self, t, y):
-        return np.array(y, dtype=float, copy=True)
 
     def grad(self, t, x):
         x = np.asarray(x, dtype=float)
@@ -110,29 +110,14 @@ class Rotation2D(Motion):
 
     def _rot(self, alpha):
         c, s = np.cos(alpha), np.sin(alpha)
-        r = np.empty(np.shape(alpha) + (2, 2))
-        r[..., 0, 0] = c
-        r[..., 0, 1] = -s
-        r[..., 1, 0] = s
-        r[..., 1, 1] = c
-        return r
+        return np.moveaxis(np.array([[c, -s], [s, c]]), (0, 1), (-2, -1))
 
     def _rot_dalpha(self, alpha):
-        c, s = np.cos(alpha), np.sin(alpha)
-        r = np.empty(np.shape(alpha) + (2, 2))
-        r[..., 0, 0] = -s
-        r[..., 0, 1] = -c
-        r[..., 1, 0] = c
-        r[..., 1, 1] = -s
-        return r
+        return self._rot(alpha) @ np.array([[0.0, -1.0], [1.0, 0.0]])
 
     def forward(self, t, x):
         x = np.asarray(x, dtype=float)
         return np.einsum("...ij,...j->...i", self._rot(self._alpha(t)), x)
-
-    def inverse(self, t, y):
-        y = np.asarray(y, dtype=float)
-        return np.einsum("...ij,...j->...i", self._rot(-self._alpha(t)), y)
 
     def grad(self, t, x):
         x = np.asarray(x, dtype=float)
@@ -157,14 +142,6 @@ class Rotation2D(Motion):
     def det(self, t, x):
         x = np.asarray(x, dtype=float)
         return np.ones(x.shape[:-1])
-
-    def velocity(self, t, y):
-        y = np.asarray(y, dtype=float)
-        v = np.empty_like(y)
-        rate = 2.0 * np.pi / self.period
-        v[..., 0] = -rate * y[..., 1]
-        v[..., 1] = rate * y[..., 0]
-        return v
 
 
 class Polynomial1D(Motion):

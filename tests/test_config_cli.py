@@ -226,6 +226,14 @@ def test_constant_part_without_a_finite_value_is_a_config_error_at_its_line(
     assert_config_error_at_its_line(tmp_path, capsys, key, text)
 
 
+@pytest.mark.parametrize("terms", [1000, 5000])
+def test_deeply_nested_expression_is_a_config_error_at_its_line(
+        tmp_path, capsys, terms):
+    # 1,000 terms overflow the evaluator's recursion, 5,000 ast.parse's
+    assert_config_error_at_its_line(tmp_path, capsys, "f",
+                                    "+".join(["x"] * terms))
+
+
 def test_curve_material_spec():
     cfg = parse_config(
         "[problem]\ninterfaces = 0.5\n"

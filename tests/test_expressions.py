@@ -3,7 +3,7 @@ import pytest
 
 from stshapeopt import AnalyticSource, Identity, Polynomial1D
 from stshapeopt.errors import StshapeoptError
-from stshapeopt.expressions import Expression, ExpressionError
+from stshapeopt.expressions import MAX_DEPTH, Expression, ExpressionError
 
 VARS = ("t", "x", "xref")
 
@@ -128,6 +128,27 @@ def test_value_is_a_new_float_array_of_the_variables_shape(text):
     value = Expression(text, ("t", "x"))(t=1, x=np.zeros((2, 3), dtype=int))
     assert value.dtype == float and value.shape == (2, 3)
     assert value.flags.writeable
+
+
+@pytest.mark.parametrize("text, value, slope", [
+    ("*".join(["x"] * MAX_DEPTH), lambda x: x**MAX_DEPTH,
+     lambda x: MAX_DEPTH * x**(MAX_DEPTH - 1)),
+    # x/(x/(...(x*x))) alternates x^2 and 1/x; its derivative nests three
+    # levels per division, the deepest there is
+    ("x/(" * (MAX_DEPTH - 2) + "x*x" + ")" * (MAX_DEPTH - 2),
+     lambda x: x**2, lambda x: 2.0 * x),
+], ids=["product", "nested_quotient"])
+def test_expression_at_the_depth_cap_evaluates_and_differentiates(
+        text, value, slope):
+    x = np.array([0.9, 1.1])
+    e = Expression(text, ("x",))
+    assert np.allclose(e(x=x), value(x), rtol=1e-12)
+    assert np.allclose(e.derivative("x")(x=x), slope(x), rtol=1e-12)
+
+
+def test_expression_deeper_than_the_cap_rejected():
+    with pytest.raises(ExpressionError, match="nested deeper"):
+        Expression("*".join(["x"] * (MAX_DEPTH + 1)), ("x",))
 
 
 def test_unbalanced_parentheses_rejected():

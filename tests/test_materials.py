@@ -110,6 +110,9 @@ def test_layout_lookup():
                           2: PhaseMaterial(0.0, CURVE)})
     assert np.all(layout.sigma([1, 2, 1]) == [2.0, 0.0, 2.0])
     assert not layout.all_constant
+    assert PhaseLayout({1: PhaseMaterial(2.0, ConstantReluctivity(1.0)),
+                        2: PhaseMaterial(0.0, ConstantReluctivity(3.0))}
+                       ).all_constant
 
 
 @pytest.mark.parametrize("phases", [[1, 2, 2, 1, 2], [2, 2, 2]],
@@ -189,6 +192,13 @@ def test_torque_radial_potential_vanishes_under_refinement():
         vals.append(abs(arkkio_torque(points, tris, u, 0.75, 1.25, 1.0, 1.0)))
     assert vals[1] < 0.5 * vals[0]
     assert vals[1] < 1e-4
+
+
+def test_torque_on_a_triangle_without_area_raises():
+    points = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    with pytest.raises(GeometryError, match="no area"):
+        arkkio_torque(points, np.array([[0, 1, 2]]), points[:, 0], 0.5, 3.5,
+                      1.0, 1.0)
 
 
 def test_torque_empty_annulus_raises():

@@ -4,6 +4,8 @@ import pytest
 from helpers import chord_crossings, theta_bump
 from stshapeopt import (CustomMotion, Identity, Polynomial1D, Rotation2D,
                         deform_mesh, generate_mesh)
+from stshapeopt import kernels as kn
+from stshapeopt import motion as motion_module
 from stshapeopt.errors import GeometryError
 from stshapeopt.mesh import trajectory_intervals
 from stshapeopt.motion import Motion
@@ -83,8 +85,8 @@ def test_polynomial_inverse_outside_image_raises():
         motion.inverse(0.5, np.array([-1.0]))
 
 
-def test_custom_motion_with_default_inverse():
-    motion = CustomMotion(
+def sine_motion():
+    return CustomMotion(
         dim=1,
         forward=lambda t, x: x + np.asarray(t)[..., None] * np.sin(x) * 0.2
         if np.ndim(t) else x + t * 0.2 * np.sin(x),
@@ -94,6 +96,10 @@ def test_custom_motion_with_default_inverse():
                             * 0.2 * np.sin(x))[..., None, None],
         dt=lambda t, x: 0.2 * np.sin(x),
         dt_grad=lambda t, x: (0.2 * np.cos(x))[..., None])
+
+
+def test_custom_motion_with_default_inverse():
+    motion = sine_motion()
     x = np.array([[0.3], [0.8]])
     y = motion.forward(0.6, x)
     assert np.max(np.abs(motion.inverse(0.6, y) - x)) < 1e-12
@@ -125,3 +131,98 @@ def test_affine_motion_crossings_are_the_one_step_chord(motion):
     for m in (mesh, deformed):
         _, t_nodes = trajectory_intervals(m, x0)
         assert np.array_equal(t_nodes[:, 1::2], chord_crossings(m, x0))
+
+
+def test_subclasses_override_only_their_defining_maps():
+    # the base class derives det, inverse and the velocities; only the
+    # closed-form inverse and the exact unit determinant are kept
+    defining = {"forward", "grad", "grad2", "dt", "dt_grad", "dim"}
+    kept = {("Polynomial1D", "inverse"), ("Rotation2D", "det")}
+    subclasses = [cls for cls in vars(motion_module).values()
+                  if isinstance(cls, type) and issubclass(cls, Motion)
+                  and cls is not Motion]
+    assert len(subclasses) == 4
+    for cls in subclasses:
+        public = {name for name in vars(cls) if not name.startswith("_")}
+        assert public - defining == {name for owner, name in kept
+                                     if owner == cls.__name__}
+
+
+def cubic_motion(shift):
+    """phi_t(x) = ((1-t) x1 + t (x1^3 + shift), x2): at t = 1 its gradient
+    is singular wherever x1 = 0."""
+    def forward(t, x):
+        return np.stack(((1.0 - t) * x[..., 0] + t * (x[..., 0] ** 3 + shift),
+                         x[..., 1]), axis=-1)
+
+    def grad(t, x):
+        g = np.zeros(x.shape + (2,))
+        g[..., 0, 0] = 1.0 - t + 3.0 * t * x[..., 0] ** 2
+        g[..., 1, 1] = 1.0
+        return g
+
+    def grad2(t, x):
+        h = np.zeros(x.shape + (2, 2))
+        h[..., 0, 0, 0] = 6.0 * t * x[..., 0]
+        return h
+
+    def dt(t, x):
+        return np.stack((x[..., 0] ** 3 + shift - x[..., 0],
+                         np.zeros_like(x[..., 1])), axis=-1)
+
+    def dt_grad(t, x):
+        w = np.zeros(x.shape + (2,))
+        w[..., 0, 0] = 3.0 * x[..., 0] ** 2 - 1.0
+        return w
+
+    return CustomMotion(2, forward, grad, grad2, dt, dt_grad)
+
+
+@pytest.mark.parametrize("motion", [Identity(dim=1), Identity(dim=2),
+                                    Rotation2D(), sine_motion()],
+                         ids=lambda m: f"{type(m).__name__}{m.dim}")
+def test_empty_batch_inverts_to_an_empty_batch(motion):
+    xi = motion.inverse(0.4, np.zeros((0, motion.dim)))
+    assert xi.shape == (0, motion.dim)
+
+
+@pytest.mark.parametrize("radius", [1.0, 1e3, 1e6])
+def test_rotation_inverts_at_any_radius(radius):
+    # the Newton stop is relative to the point's size, so a far point
+    # round-trips as well as a near one
+    rotation = Rotation2D()
+    custom = CustomMotion(2, rotation.forward, rotation.grad, rotation.grad2,
+                          rotation.dt, rotation.dt_grad)
+    angle = np.linspace(0.0, 2.0 * np.pi, 50, endpoint=False)
+    x = radius * np.stack((np.cos(angle), np.sin(angle)), axis=-1)
+    for motion in (rotation, custom):
+        for t in (0.1, 0.3, 0.77):
+            xi = motion.inverse(t, motion.forward(t, x))
+            assert np.max(np.linalg.norm(xi - x, axis=-1)) <= 1e-15 * radius
+
+
+def test_singular_newton_step_raises_geometry_error():
+    with pytest.raises(GeometryError, match="singular"):
+        cubic_motion(0.5).inverse(1.0, np.array([[0.0, 0.5]]))
+
+
+@pytest.mark.parametrize("form", [
+    lambda m, y: m.velocity_grad(1.0, y),
+    lambda m, y: kn.m_prime(m, 1.0, y[0]),
+    lambda m, y: kn.Fxx_prime(m, 1.0, y[0]),
+    lambda m, y: kn.Fxt_prime(m, 1.0, y[0]),
+    lambda m, y: kn.b_prime(m, 1.0, y[0]),
+    lambda m, y: kn.A_prime(m, 1.0, y[0]),
+    lambda m, y: kn.pullback_scalar_derivative(m, 1.0, y[0],
+                                               lambda t, x: np.ones(2)),
+    lambda m, y: kn.pullback_vector_derivative(m, 1.0, y[0],
+                                               lambda t, x: np.eye(2)),
+], ids=["velocity_grad", "m_prime", "Fxx_prime", "Fxt_prime", "b_prime",
+        "A_prime", "pullback_scalar", "pullback_vector"])
+def test_singular_motion_gradient_raises_geometry_error(form):
+    # (0, 0.5) is its own image at t = 1, where d phi_1 / dx1 = 0
+    motion = cubic_motion(0.0)
+    y = np.array([[0.0, 0.5]])
+    assert np.array_equal(motion.inverse(1.0, y), y)
+    with pytest.raises(GeometryError, match="singular"):
+        form(motion, y)

@@ -138,13 +138,15 @@ class PhaseLayout:
 
 
 def arkkio_q(x):
-    """Torque weight matrix; symmetric, trace-free, |Q|_F = |x|/sqrt(2)."""
+    """Torque weight matrix at a point, or (..., 2, 2) at a batch (..., 2);
+    symmetric, trace-free, |Q|_F = |x|/sqrt(2)."""
     x = np.asarray(x, dtype=float)
-    r = np.hypot(x[0], x[1])
-    if r == 0.0:
+    r = np.hypot(x[..., 0], x[..., 1])
+    if np.any(r == 0.0):
         raise GeometryError("torque weight is singular at the origin")
-    off = 0.5 * (x[1] ** 2 - x[0] ** 2)
-    return np.array([[x[0] * x[1], off], [off, -x[0] * x[1]]]) / r
+    diag = x[..., 0] * x[..., 1] / r
+    off = 0.5 * (x[..., 1] ** 2 - x[..., 0] ** 2) / r
+    return np.stack((diag, off, off, -diag), axis=-1).reshape(x.shape + (2,))
 
 
 def arkkio_torque(points, triangles, u, r_inner, r_outer, length, nu_air):
@@ -160,28 +162,29 @@ def arkkio_torque(points, triangles, u, r_inner, r_outer, length, nu_air):
     points = np.asarray(points, dtype=float)
     triangles = np.asarray(triangles, dtype=int)
     u = np.asarray(u, dtype=float)
+    if u.shape != (len(points),):
+        raise GeometryError(f"potential has shape {u.shape}, points have "
+                            f"({len(points)},)")
+    if triangles.shape[1:] != (3,) or np.any((triangles < 0)
+                                            | (triangles >= len(points))):
+        raise GeometryError(f"triangles must be an (n, 3) array of indices "
+                            f"in [0, {len(points)})")
 
-    p0 = points[triangles[:, 0]]
-    p1 = points[triangles[:, 1]]
-    p2 = points[triangles[:, 2]]
-    centroid = (p0 + p1 + p2) / 3.0
-    radius = np.hypot(centroid[:, 0], centroid[:, 1])
-    inside = (radius > r_inner) & (radius < r_outer)
-    if not np.any(inside):
+    a, b, c = points[triangles].transpose(1, 0, 2)
+    radius = np.hypot(*((a + b + c) / 3.0).T)
+    inside = np.flatnonzero((radius > r_inner) & (radius < r_outer))
+    if not inside.size:
         raise GeometryError("annulus does not intersect the mesh")
 
-    total = 0.0
-    for e in np.nonzero(inside)[0]:
-        tri = triangles[e]
-        a, b, c = points[tri]
-        d1, d2 = b - a, c - a
-        area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
-        if not area > 0.0:
-            raise GeometryError(f"triangle {e} in the annulus has no area")
-        mat = np.column_stack((d1, d2))
-        grads_ref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-        grads = grads_ref @ np.linalg.inv(mat)
-        grad_u = u[tri] @ grads
-        for qp in ((a + b) / 2, (b + c) / 2, (c + a) / 2):
-            total += (area / 3.0) * float(arkkio_q(qp) @ grad_u @ grad_u)
-    return length * nu_air / (r_outer - r_inner) * total
+    a, b, c = a[inside], b[inside], c[inside]
+    d1, d2 = b - a, c - a
+    area = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    if not np.all(area > 0.0):
+        first = inside[np.argmin(area > 0.0)]
+        raise GeometryError(f"triangle {first} in the annulus has no area")
+    # grad u solves d1 . g = u_b - u_a and d2 . g = u_c - u_a
+    du = u[triangles[inside, 1:]] - u[triangles[inside, :1]]
+    grad_u = np.linalg.solve(np.stack((d1, d2), axis=1), du[..., None])[..., 0]
+    weight = sum(np.einsum("eij,ei,ej->e", arkkio_q(qp), grad_u, grad_u)
+                 for qp in ((a + b) / 2, (b + c) / 2, (c + a) / 2))
+    return length * nu_air / (r_outer - r_inner) * (area / 3.0) @ weight

@@ -12,13 +12,21 @@ from stshapeopt import (AnalyticSource, ConstantReluctivity, Objective,
 from stshapeopt import fem
 from stshapeopt import kernels as kn
 from stshapeopt.derivative import _element_planes
+from stshapeopt.errors import GeometryError
+from stshapeopt.materials import arkkio_q
 from stshapeopt.mesh import NQ, trajectory_intervals
+from stshapeopt.vtkio import VTK_TRIANGLE
 
 PAPER_INTERFACES = (0.4, 0.6)
 # Independently computed limit of the initial objective for the moving
 # interface benchmark, from the reference solver in reference_solver.py
 # (checked by test_reference_solver.py).
 J0_LIMIT = 5.4283e-4
+# Minimizer and minimum of the reference solver's extrapolated objective
+# reference_limit(design, n=80) over the two interfaces, found once offline
+# by BFGS with central-difference gradients (step 1e-5) from (0.4, 0.6).
+REFERENCE_OPTIMUM_80 = (0.333000, 0.727688)
+REFERENCE_J_MIN_80 = 4.80369e-4
 
 
 def objective_u():
@@ -385,3 +393,88 @@ def observed_orders(values):
     """Pairwise log2 reduction rates of a halving-refinement sequence."""
     values = np.asarray(values, dtype=float)
     return np.log2(values[:-1] / values[1:])
+
+
+# ---------------------------------------------------------------------------
+# per-line and per-element oracles of the whole-array writers and integrals:
+# the package's earlier loops, kept unchanged so that the new passes can be
+# compared with them byte for byte and to roundoff
+
+
+def write_vtk_per_line(path, mesh, point_data=None):
+    """A field whose shape is not (n_vertices,) raises GeometryError before
+    the file is opened."""
+    point_data = {name: np.asarray(values, dtype=float)
+                  for name, values in (point_data or {}).items()}
+    for name, values in point_data.items():
+        if values.shape != (mesh.n_vertices,):
+            raise GeometryError(f"point field {name!r} has shape "
+                                f"{values.shape}, mesh vertices have shape "
+                                f"({mesh.n_vertices},)")
+    with open(path, "w") as f:
+        f.write("# vtk DataFile Version 3.0\n")
+        f.write("space-time snapshot\n")
+        f.write("ASCII\n")
+        f.write("DATASET UNSTRUCTURED_GRID\n")
+        f.write(f"POINTS {mesh.n_vertices} double\n")
+        for t, x in mesh.vertices:
+            f.write(f"{x:.12e} {t:.12e} 0.0\n")
+        f.write(f"CELLS {mesh.n_elements} {4 * mesh.n_elements}\n")
+        for tri in mesh.elements:
+            f.write(f"3 {tri[0]} {tri[1]} {tri[2]}\n")
+        f.write(f"CELL_TYPES {mesh.n_elements}\n")
+        for _ in range(mesh.n_elements):
+            f.write(f"{VTK_TRIANGLE}\n")
+        if point_data:
+            f.write(f"POINT_DATA {mesh.n_vertices}\n")
+            for name, values in point_data.items():
+                f.write(f"SCALARS {name} double 1\n")
+                f.write("LOOKUP_TABLE default\n")
+                for v in values:
+                    f.write(f"{v:.12e}\n")
+        f.write(f"CELL_DATA {mesh.n_elements}\n")
+        f.write("SCALARS phase int 1\n")
+        f.write("LOOKUP_TABLE default\n")
+        for p in mesh.phases:
+            f.write(f"{int(p)}\n")
+
+
+def arkkio_torque_per_element(points, triangles, u, r_inner, r_outer, length,
+                              nu_air):
+    """Average torque from a steady potential on a 2d triangulated annulus.
+
+    Integrates Q grad u . grad u over the elements whose centroid lies in the
+    annulus r_inner < |x| < r_outer, with the edge-midpoint rule for the
+    position-dependent weight; the time average over one period of a steady
+    field cancels against the period length.
+    """
+    if not r_inner < r_outer:
+        raise GeometryError(f"need r_inner < r_outer, got {r_inner}, {r_outer}")
+    points = np.asarray(points, dtype=float)
+    triangles = np.asarray(triangles, dtype=int)
+    u = np.asarray(u, dtype=float)
+
+    p0 = points[triangles[:, 0]]
+    p1 = points[triangles[:, 1]]
+    p2 = points[triangles[:, 2]]
+    centroid = (p0 + p1 + p2) / 3.0
+    radius = np.hypot(centroid[:, 0], centroid[:, 1])
+    inside = (radius > r_inner) & (radius < r_outer)
+    if not np.any(inside):
+        raise GeometryError("annulus does not intersect the mesh")
+
+    total = 0.0
+    for e in np.nonzero(inside)[0]:
+        tri = triangles[e]
+        a, b, c = points[tri]
+        d1, d2 = b - a, c - a
+        area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
+        if not area > 0.0:
+            raise GeometryError(f"triangle {e} in the annulus has no area")
+        mat = np.column_stack((d1, d2))
+        grads_ref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+        grads = grads_ref @ np.linalg.inv(mat)
+        grad_u = u[tri] @ grads
+        for qp in ((a + b) / 2, (b + c) / 2, (c + a) / 2):
+            total += (area / 3.0) * float(arkkio_q(qp) @ grad_u @ grad_u)
+    return length * nu_air / (r_outer - r_inner) * total

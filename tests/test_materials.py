@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import annulus_mesh, gauss_rule
+from helpers import annulus_mesh, arkkio_torque_per_element, gauss_rule
 from stshapeopt import (ConstantReluctivity, PhaseLayout, PhaseMaterial,
                         ReluctivityCurve, arkkio_q, arkkio_torque)
 from stshapeopt.errors import GeometryError, MaterialError
@@ -199,6 +199,68 @@ def test_torque_on_a_triangle_without_area_raises():
     with pytest.raises(GeometryError, match="no area"):
         arkkio_torque(points, np.array([[0, 1, 2]]), points[:, 0], 0.5, 3.5,
                       1.0, 1.0)
+
+
+def test_torque_equals_the_per_element_loop():
+    points, tris = annulus_mesh(0.5, 1.5, 16, 128)
+    x, y = points.T
+    u = sum(c * np.cos(k * x + m * y + phase) for c, k, m, phase in
+            RNG.normal(size=(6, 4)))
+    args = (points, tris, u, 0.75, 1.25, 2.0, 3.0)
+    whole, oracle = arkkio_torque(*args), arkkio_torque_per_element(*args)
+    assert abs(whole - oracle) <= 1e-13 * abs(oracle), (whole, oracle)
+
+
+def test_torque_weight_of_a_batch_equals_per_point_calls():
+    pts = RNG.normal(size=(5, 3, 2))
+    batch = arkkio_q(pts)
+    assert batch.shape == (5, 3, 2, 2)
+    for index in np.ndindex(5, 3):
+        assert np.array_equal(batch[index], arkkio_q(pts[index]))
+
+
+def test_torque_weight_of_a_batch_with_the_origin_raises():
+    pts = RNG.normal(size=(4, 2))
+    pts[2] = 0.0
+    with pytest.raises(GeometryError, match="origin"):
+        arkkio_q(pts)
+
+
+def test_torque_no_area_message_names_the_first_flat_annulus_triangle():
+    points, tris = annulus_mesh(0.5, 1.5, 4, 32)
+    # collapsed onto its first vertex, triangle 70 lies on the ring r = 0.75,
+    # outside the band, and triangles 130 and 140 on r = 1, inside it
+    flat = [70, 130, 140]
+    tris[flat] = tris[flat, :1]
+    args = (points, tris, points[:, 0], 0.9, 1.1, 1.0, 1.0)
+    for torque in (arkkio_torque, arkkio_torque_per_element):
+        with pytest.raises(GeometryError,
+                           match="^triangle 130 in the annulus has no area$"):
+            torque(*args)
+
+
+@pytest.mark.parametrize("n_values", [10, 1000])
+def test_torque_potential_of_the_wrong_length_raises(n_values):
+    points, tris = annulus_mesh(0.5, 1.5, 4, 32)
+    with pytest.raises(GeometryError, match="potential has shape"):
+        arkkio_torque(points, tris, np.ones(n_values), 0.8, 1.2, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("index", [-1, 160])
+def test_torque_triangle_index_outside_the_points_raises(index):
+    points, tris = annulus_mesh(0.5, 1.5, 4, 32)
+    tris[5, 1] = index
+    with pytest.raises(GeometryError, match=r"indices in \[0, 160\)"):
+        arkkio_torque(points, tris, points[:, 0], 0.8, 1.2, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("reshape", [np.ravel, lambda t: t[:, :2],
+                                     lambda t: t[..., None]],
+                         ids=["flat", "two_columns", "three_dims"])
+def test_torque_triangles_not_in_rows_of_three_raise(reshape):
+    points, tris = annulus_mesh(0.5, 1.5, 4, 32)
+    with pytest.raises(GeometryError, match=r"an \(n, 3\) array"):
+        arkkio_torque(points, reshape(tris), points[:, 0], 0.8, 1.2, 1.0, 1.0)
 
 
 def test_torque_empty_annulus_raises():

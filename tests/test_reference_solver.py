@@ -2,9 +2,12 @@
 initial objective of the stated (flow-velocity) model, and the FEM shape
 gradient converges to the reference solver's gradient."""
 
+from functools import cache
+
 import numpy as np
 
-from helpers import J0_LIMIT, moving_interface_problem, observed_orders
+from helpers import (J0_LIMIT, REFERENCE_J_MIN_80, REFERENCE_OPTIMUM_80,
+                     moving_interface_problem, observed_orders)
 from reference_solver import BASE_INTERFACES, reference_limit, \
     reference_objective
 from stshapeopt import pde_volume_densities, solve_adjoint, solve_state
@@ -33,17 +36,29 @@ def interface_gradient(n):
         for psi in ([0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0])])
 
 
+@cache
+def reference_gradient(design, delta=1e-4):
+    """Central differences of the n = 80 reference limit in each interface,
+    and the mean of the four limits they take."""
+    values = np.array([[reference_limit(np.array(design) + sign * step, n=80)
+                        for sign in (1.0, -1.0)]
+                       for step in delta * np.eye(2)])
+    return (values[:, 0] - values[:, 1]) / (2.0 * delta), values.mean()
+
+
 def test_shape_gradient_converges_to_the_reference_gradient():
-    # central differences of the reference limit in each interface; the
-    # reference converges at first order, and so must the FEM gradient
-    delta = 1e-4
-    design = np.array(BASE_INTERFACES)
-    reference = np.array([
-        (reference_limit(design + step, n=80)
-         - reference_limit(design - step, n=80)) / (2.0 * delta)
-        for step in delta * np.eye(2)])
+    # the reference converges at first order, and so must the FEM gradient
+    reference, _ = reference_gradient(BASE_INTERFACES)
     errors = np.array([np.abs(interface_gradient(n) - reference)
                        for n in (40, 80, 160)]) / np.abs(reference)
     assert np.all(errors[1:] < errors[:-1]), errors
     orders = observed_orders(errors[:, 1])
     assert np.all((0.8 <= orders) & (orders <= 1.2)), orders
+
+
+def test_stored_reference_optimum_is_stationary():
+    gradient, j_near = reference_gradient(REFERENCE_OPTIMUM_80)
+    start, _ = reference_gradient(BASE_INTERFACES)
+    assert np.linalg.norm(gradient) < 1e-3 * np.linalg.norm(start), \
+        (gradient, start)
+    assert abs(j_near - REFERENCE_J_MIN_80) < 1e-5 * REFERENCE_J_MIN_80, j_near

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from helpers import write_vtk_per_line
 from stshapeopt import Polynomial1D, generate_mesh
 from stshapeopt.errors import GeometryError
 from stshapeopt.vtkio import write_vtk
@@ -92,3 +93,19 @@ def test_point_field_of_the_wrong_shape_raises_before_writing(tmp_path,
             f"shape {shape}, mesh vertices have shape ({mesh.n_vertices},)")):
         write_vtk(path, mesh, point_data={"u": np.zeros(shape)})
     assert not path.exists()
+
+
+def test_snapshot_bytes_equal_the_per_line_writer(tmp_path):
+    mesh = generate_mesh(12, 8, (0.4, 0.6), Polynomial1D())
+    t, x = mesh.vertices.T
+    u = np.sin(3.0 * t) * x
+    u[:4] = (-0.0, 1e-300, 1e300, np.nan)
+    fields = {"u": u, "v": np.resize([np.nan, 1e300, -0.0, 1e-300, -2.5],
+                                     mesh.n_vertices)}
+    write_vtk(tmp_path / "whole.vtk", mesh, point_data=fields)
+    write_vtk_per_line(tmp_path / "per_line.vtk", mesh, point_data=fields)
+    whole = (tmp_path / "whole.vtk").read_bytes()
+    assert whole == (tmp_path / "per_line.vtk").read_bytes()
+    for token in (b"-0.000000000000e+00", b"1.000000000000e-300",
+                  b"1.000000000000e+300", b"\nnan\n"):
+        assert token in whole

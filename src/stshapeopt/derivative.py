@@ -22,7 +22,8 @@ from .errors import GeometryError, UnsupportedCaseError
 from .fem import (Field, LinearSystem, _scatter_vector, _slope,
                   assemble_state_jacobian, evaluate_objective, solve_state)
 from .kernels import jet1d, m_prime, pullback_scalar_derivative
-from .mesh import NQ, deform_mesh, mesh_geometry, trajectory_intervals
+from .mesh import (NQ, deform_mesh, mesh_geometry, nodal_values,
+                   trajectory_intervals)
 
 
 @dataclass
@@ -43,7 +44,8 @@ class DerivativeDensities:
 
     def pairing(self, theta):
         """Exact integral of g0 . theta + g1 theta' for P1 nodal theta."""
-        return float(self.load() @ np.asarray(theta, dtype=float))
+        theta = nodal_values(theta, self.spatial_mesh.nodes)
+        return float(self.load() @ theta)
 
 
 @dataclass
@@ -53,9 +55,10 @@ class InterfaceDensities:
     node_ids: np.ndarray
     values: np.ndarray
     normals: np.ndarray
+    spatial_mesh: object
 
     def pairing(self, theta):
-        theta = np.asarray(theta, dtype=float)
+        theta = nodal_values(theta, self.spatial_mesh.nodes)
         return float(np.sum(self.values * theta[self.node_ids] * self.normals))
 
 
@@ -203,7 +206,7 @@ def pde_surface_derivative(state, p):
     sm = mesh.spatial_mesh()
     nodes = sm.interface_nodes()
     if len(nodes) == 0:
-        return InterfaceDensities(nodes, np.zeros(0), np.zeros(0))
+        return InterfaceDensities(nodes, np.zeros(0), np.zeros(0), sm)
     _, u_t, u_x, _, _ = _element_planes(mesh, state.u.nodal())
     p_planes = _element_planes(mesh, p.nodal())
     _, _, p_x, _, _ = p_planes
@@ -213,15 +216,14 @@ def pde_surface_derivative(state, p):
     inv_nu_jump = 1.0 / mat_out.nu.value - 1.0 / mat_in.nu.value
 
     # Arrays are shaped (interface, slab, time, side).  The vertical edge at
-    # node a in slab j lies in cell i = a - 1 (minus side) and i = a (plus
-    # side); a cell split on the rising diagonal holds its left edge in its
-    # second element and its right edge in its first.
+    # node a in slab j lies in cell a - 1 (minus side) and cell a (plus
+    # side), in the cell's lower element if that element's top vertex lies
+    # over node a, and in its upper element otherwise.
     j = np.arange(mesh.n_t)[:, None]
-    i = nodes[:, None, None] + np.array([-1, 0])
-    rising = (i + j) % 2 == 0
-    e = (2 * (j * mesh.n_x + i) + (rising ^ [True, False]))[:, :, None]
-    t, xi = np.broadcast_arrays(mesh.t_grid[j + [0, 1]],
-                                sm.nodes[nodes][:, None, None])
+    a = nodes[:, None, None]
+    lower = mesh.cell_element(j, a + [-1, 0])
+    e = (lower + (mesh.column[mesh.elements.T[1][lower]] != a))[:, :, None]
+    t, xi = np.broadcast_arrays(mesh.t_grid[j + [0, 1]], sm.nodes[a])
     x = mesh.motion.forward(t.ravel(), xi.ravel()[:, None])[:, 0] \
         .reshape(t.shape)[..., None]
     jet = jet1d(mesh.motion, t, xi)
@@ -234,7 +236,7 @@ def pde_surface_derivative(state, p):
     values = np.sum(0.5 * np.diff(mesh.t_grid) * np.sum(contrib, axis=-1),
                     axis=1)
     normals = np.where(sm.phases[nodes] == 1, -1.0, 1.0)
-    return InterfaceDensities(node_ids=nodes, values=values, normals=normals)
+    return InterfaceDensities(nodes, values, normals, sm)
 
 
 def magnetization_supplement(mesh, magnetization_grad, p, element_mask):
@@ -303,6 +305,7 @@ def academic_surface_derivative(mesh, f, theta, t_nodes=None):
     """Surface form on the 1d mesh: interface points carry normals +-1."""
     sm = mesh.spatial_mesh()
     nodes = sm.interface_nodes()
+    theta = nodal_values(theta, sm.nodes)
     if t_nodes is None:
         t_nodes = mesh.t_grid
     total = 0.0

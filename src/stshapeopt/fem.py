@@ -47,9 +47,8 @@ class DofMap:
         own = ~lateral & ~top
         vertex_dof = np.full(mesh.n_vertices, -1, dtype=int)
         vertex_dof[own] = np.arange(np.count_nonzero(own))
-        # Bottom-row vertex ids equal the column index.
-        top_ids = np.nonzero(top & ~lateral)[0]
-        vertex_dof[top_ids] = vertex_dof[mesh.column[top_ids]]
+        # a lateral top vertex copies its lateral partner's -1
+        vertex_dof[top] = vertex_dof[mesh.vertex_id(0, mesh.column[top])]
         return cls(vertex_dof=vertex_dof, n_free=int(np.count_nonzero(own)))
 
 

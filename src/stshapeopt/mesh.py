@@ -61,13 +61,13 @@ class SpatialMesh:
 
     def interpolate(self, values, xi):
         """P1 interpolation of nodal values at points xi."""
-        return np.interp(xi, self.nodes, values)
+        return np.interp(xi, self.nodes, nodal_values(values, self.nodes))
 
     def interpolate_gradient(self, values, xi):
         """Piecewise-constant derivative of the P1 interpolant at points xi."""
         seg = np.clip(np.searchsorted(self.nodes, xi, side="right") - 1,
                       0, self.n_elements - 1)
-        slopes = np.diff(values) / self.widths
+        slopes = np.diff(nodal_values(values, self.nodes)) / self.widths
         return slopes[seg]
 
 
@@ -75,6 +75,11 @@ class SpatialMesh:
 # class has no slots, so cached_property can store into the frozen instance.
 @dataclass(frozen=True, eq=False)
 class SpaceTimeMesh:
+    """Cell (j, i), from t_j to t_j+1 over nodes i and i + 1, holds the lower
+    element cell_element(j, i), with the bottom edge, and the next, upper
+    one, with the top edge; their diagonal runs from the upper's first vertex
+    (t_j) to the lower's second (t_j+1).  Only generate_mesh picks it."""
+
     vertices: np.ndarray       # (n_v, 2) -> (t, x)
     elements: np.ndarray       # (n_e, 3) vertex indices, positive orientation
     phases: np.ndarray         # (n_e,) phase label
@@ -107,6 +112,9 @@ class SpaceTimeMesh:
     def vertex_id(self, j, i):
         return j * (self.n_x + 1) + i
 
+    def cell_element(self, j, i):
+        return 2 * (j * self.n_x + i)
+
     def lateral_vertex_mask(self):
         mask = np.zeros(self.n_vertices, dtype=bool)
         mask[self.column == 0] = True
@@ -124,7 +132,7 @@ class SpaceTimeMesh:
         return area
 
     def spatial_mesh(self):
-        column_phase = self.phases[:2 * self.n_x:2]
+        column_phase = self.phases[self.cell_element(0, np.arange(self.n_x))]
         return SpatialMesh(nodes=self.xi_nodes.copy(), phases=column_phase)
 
 
@@ -252,6 +260,16 @@ def generate_mesh(n_x, n_t, interfaces, motion, t_final=1.0):
     return mesh
 
 
+def nodal_values(values, nodes):
+    """``values`` as a float array; GeometryError unless it holds one value
+    per spatial node."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != nodes.shape:
+        raise GeometryError(f"nodal values have shape {values.shape}, mesh "
+                            f"nodes have shape {nodes.shape}")
+    return values
+
+
 def deform_mesh(mesh, theta, tau):
     """Move the spatial reference nodes by tau * theta and push forward.
 
@@ -260,11 +278,7 @@ def deform_mesh(mesh, theta, tau):
     moves a node to a non-finite place or the design boundary, and
     InvertedElementError if it flips an element.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != mesh.xi_nodes.shape:
-        raise GeometryError(f"deformation has shape {theta.shape}, mesh "
-                            f"nodes have shape {mesh.xi_nodes.shape}")
-    new_xi_nodes = mesh.xi_nodes + tau * theta
+    new_xi_nodes = mesh.xi_nodes + tau * nodal_values(theta, mesh.xi_nodes)
     if not np.all(np.isfinite(new_xi_nodes)):
         raise GeometryError("deformation gives a non-finite node")
     if np.any(new_xi_nodes[[0, -1]] != mesh.xi_nodes[[0, -1]]):
@@ -279,32 +293,19 @@ def deform_mesh(mesh, theta, tau):
     return new
 
 
-def _diagonal_crossing_times(mesh, x0, cells):
-    """The times where the trajectories t -> phi_t(x0[p]) cross the cell
-    diagonals, one time per (point, slab).  Raises GeometryError when a
-    trajectory does not cross its slab's diagonal.
+def _diagonal_crossing_times(mesh, x0, lower):
+    """The times where the trajectories t -> phi_t(x0[p]) cross the diagonal
+    of the cell with lower element lower[p, j], one per (point, slab).  Raises
+    GeometryError when a trajectory does not cross its slab's diagonal.
 
     One regula-falsi step from the gaps between trajectory and diagonal at
     the slab ends is the crossing when the gap at every step is within
     roundoff of zero, as for a motion affine in t; otherwise the gaps are
     bisected 50 times."""
-    n_pts, n_t, n_x = len(x0), mesh.n_t, mesh.n_x
-    i_grid = np.broadcast_to(cells[:, None], (n_pts, n_t))
-    j_grid = np.broadcast_to(np.arange(n_t)[None, :], (n_pts, n_t))
-    rising = (i_grid + j_grid) % 2 == 0
-
-    # Diagonal endpoints in physical coordinates: rising runs from
-    # (t_j, node i) to (t_j+1, node i+1), falling the other way.
-    start_col = np.where(rising, i_grid, i_grid + 1)
-    end_col = np.where(rising, i_grid + 1, i_grid)
-    v_start = j_grid * (n_x + 1) + start_col
-    v_end = (j_grid + 1) * (n_x + 1) + end_col
-    x_start = mesh.vertices[v_start, 1]
-    x_end = mesh.vertices[v_end, 1]
-    t_lo = np.broadcast_to(mesh.t_grid[:-1][None, :], (n_pts, n_t))
-    t_hi = np.broadcast_to(mesh.t_grid[1:][None, :], (n_pts, n_t))
-
-    x0_grid = np.broadcast_to(x0[:, None], (n_pts, n_t))
+    t_v, x_v = mesh.vertices.T
+    start, end = mesh.elements.T[0][lower + 1], mesh.elements.T[1][lower]
+    t_lo, t_hi, x_start, x_end = t_v[start], t_v[end], x_v[start], x_v[end]
+    x0_grid = np.broadcast_to(x0[:, None], lower.shape)
 
     def gap(t):
         traj = mesh.motion.forward(t.ravel(), x0_grid.ravel()[:, None])[:, 0]
@@ -312,8 +313,7 @@ def _diagonal_crossing_times(mesh, x0, cells):
         diag = x_start + frac * (x_end - x_start)
         return traj.reshape(t.shape) - diag
 
-    lo = t_lo.astype(float).copy()
-    hi = t_hi.astype(float).copy()
+    lo, hi = t_lo, t_hi
     gap_lo, gap_hi = gap(lo), gap(hi)
     sign_lo = np.sign(gap_lo)
     if np.any(sign_lo * np.sign(gap_hi) > 0.0):
@@ -342,7 +342,7 @@ def trajectory_intervals(mesh, x0_points):
     """
     x0 = np.asarray(x0_points, dtype=float).copy()
     xi = mesh.xi_nodes
-    if np.any(x0 < xi[0] - _EXIT_TOL) or np.any(x0 > xi[-1] + _EXIT_TOL):
+    if not np.all((x0 >= xi[0] - _EXIT_TOL) & (x0 <= xi[-1] + _EXIT_TOL)):
         raise GeometryError("trajectory leaves the meshed region")
     on_node = np.isclose(x0[:, None], xi[None, :], rtol=0.0,
                          atol=_EDGE_NUDGE).any(axis=1)
@@ -351,16 +351,9 @@ def trajectory_intervals(mesh, x0_points):
 
     cells = np.clip(np.searchsorted(xi, x0, side="right") - 1,
                     0, mesh.n_x - 1)
-    t_star = _diagonal_crossing_times(mesh, x0, cells)
-
-    n_pts = len(x0)
-    n_t = mesh.n_t
-    t_nodes = np.empty((n_pts, 2 * n_t + 1))
+    lower = mesh.cell_element(np.arange(mesh.n_t)[None, :], cells[:, None])
+    t_nodes = np.empty((len(x0), 2 * mesh.n_t + 1))
     t_nodes[:, 0::2] = mesh.t_grid[None, :]
-    t_nodes[:, 1::2] = t_star
-
-    base = 2 * (np.arange(n_t)[None, :] * mesh.n_x + cells[:, None])
-    elements = np.empty((n_pts, 2 * n_t), dtype=int)
-    elements[:, 0::2] = base
-    elements[:, 1::2] = base + 1
-    return elements, t_nodes
+    t_nodes[:, 1::2] = _diagonal_crossing_times(mesh, x0, lower)
+    elements = np.stack([lower, lower + 1], axis=2)
+    return elements.reshape(len(x0), 2 * mesh.n_t), t_nodes

@@ -1,3 +1,7 @@
+import functools
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,7 +19,7 @@ from stshapeopt import (AnalyticSource, ConstantReluctivity, Identity,
 from stshapeopt.derivative import (academic_surface_density,
                                    academic_surface_derivative_polyline,
                                    academic_volume_derivative_sampled,
-                                   fd_objective_derivative)
+                                   fd_objective_derivative, solve_tangent)
 from stshapeopt.errors import GeometryError, UnsupportedCaseError
 from stshapeopt.fem import DofMap, ElementGeometry, Field, evaluate_objective
 from stshapeopt.kernels import jet1d
@@ -422,6 +426,54 @@ def test_surface_descent_direction_decreases_objective():
     j_trial = evaluate_objective(
         trial, solve_state(trial, layout, source).u, objective)
     assert j_trial < j_base
+
+
+# ---------------------------------------------------------------------------
+# nodal design velocities of the wrong shape
+
+
+@functools.cache
+def shape_check_setup():
+    mesh, layout, source, objective = moving_interface_problem(8)
+    state = solve_state(mesh, layout, source)
+    p = solve_adjoint(state, objective)
+    return SimpleNamespace(
+        mesh=mesh, state=state, p=p, objective=objective,
+        densities=pde_volume_densities(state, p, objective),
+        interface=pde_surface_derivative(state, p),
+        f=AnalyticSource("x*(2-x)*(1+t)", mesh.motion))
+
+
+NODAL_ENTRY_POINTS = {
+    "deform_mesh": lambda s, theta: deform_mesh(s.mesh, theta, 0.01),
+    "interpolate": lambda s, theta: s.mesh.spatial_mesh().interpolate(
+        theta, np.array([0.3, 0.55])),
+    "interpolate_gradient":
+        lambda s, theta: s.mesh.spatial_mesh().interpolate_gradient(
+            theta, np.array([0.3, 0.55])),
+    "DerivativeDensities.pairing":
+        lambda s, theta: s.densities.pairing(theta),
+    "InterfaceDensities.pairing": lambda s, theta: s.interface.pairing(theta),
+    "academic_surface_derivative":
+        lambda s, theta: academic_surface_derivative(s.mesh, s.f, theta),
+    "academic_volume_derivative":
+        lambda s, theta: academic_volume_derivative(s.mesh, s.f, theta),
+    "volume_form_pairing": lambda s, theta: volume_form_pairing(
+        s.state, s.p, s.objective, theta),
+    "solve_tangent": lambda s, theta: solve_tangent(s.state, theta),
+}
+
+
+@pytest.mark.parametrize("theta", [np.zeros(5), np.zeros(20),
+                                   np.zeros((9, 1))],
+                         ids=["short", "long", "column"])
+@pytest.mark.parametrize("entry", NODAL_ENTRY_POINTS)
+def test_nodal_velocity_of_the_wrong_shape_names_both_shapes(entry, theta):
+    # the 8^2 mesh has nine spatial nodes; the surface forms read only the
+    # interface nodes, so a long velocity used to pair there silently
+    expected = re.escape(f"shape {theta.shape}") + r".*shape \(9,\)"
+    with pytest.raises(GeometryError, match=expected):
+        NODAL_ENTRY_POINTS[entry](shape_check_setup(), theta)
 
 
 # ---------------------------------------------------------------------------

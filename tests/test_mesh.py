@@ -204,6 +204,16 @@ def test_vertical_line_boundary_nudge_and_exit():
         trajectory_intervals(mesh, np.array([1.2]))
 
 
+@pytest.mark.parametrize("x0", [[np.nan], [0.3, np.nan]],
+                         ids=["nan", "nan_among_inside"])
+def test_nan_trajectory_point_raises(x0):
+    # a NaN fails every comparison, so a check written as "outside the
+    # region" lets it through to the last column's cells
+    mesh = generate_mesh(8, 8, (0.4, 0.6), Polynomial1D())
+    with pytest.raises(GeometryError, match="leaves the meshed region"):
+        trajectory_intervals(mesh, np.array(x0))
+
+
 def quadratic_in_t():
     """phi_t(x) = x + t^2 x^2: monotone on [0, 1], not affine in t."""
     def tb(t):
@@ -289,6 +299,26 @@ def test_generated_connectivity_matches_loop_reference(n_x, n_t, interfaces):
     assert np.array_equal(mesh.phases, phases)
     vid = np.arange(mesh.n_vertices)
     assert np.array_equal(mesh.row * (n_x + 1) + mesh.column, vid)
+
+
+@pytest.mark.parametrize("n_x, n_t", [(8, 4), (9, 5)])
+@pytest.mark.parametrize("deformed", [False, True],
+                         ids=["generated", "deformed"])
+def test_cell_elements_split_each_cell_along_a_shared_diagonal(n_x, n_t,
+                                                               deformed):
+    mesh = generate_mesh(n_x, n_t, (0.4, 0.6), Polynomial1D())
+    if deformed:
+        mesh = deform_mesh(mesh, theta_bump(mesh.spatial_mesh()), 0.03)
+    for j in range(n_t):
+        for i in range(n_x):
+            lower = mesh.elements[mesh.cell_element(j, i)]
+            upper = mesh.elements[mesh.cell_element(j, i) + 1]
+            bottom = {mesh.vertex_id(j, i), mesh.vertex_id(j, i + 1)}
+            top = {mesh.vertex_id(j + 1, i), mesh.vertex_id(j + 1, i + 1)}
+            assert set(lower) | set(upper) == bottom | top
+            assert bottom <= set(lower) and top <= set(upper)
+            assert set(lower) & set(upper) == {upper[0], lower[1]}
+            assert mesh.row[upper[0]] == j and mesh.row[lower[1]] == j + 1
 
 
 def count_inversions(monkeypatch, motion):

@@ -155,3 +155,24 @@ def test_derivative_and_optimizer_take_the_solved_state():
                 found += [f"{name}:{node.name}.{a.arg}" for a in args
                           if a.arg in ("layout", "source")]
     assert found == []
+
+
+def test_only_generate_mesh_splits_cells():
+    # which diagonal splits a cell is a parity, (i + j) % 2; everything
+    # else reads the split from the elements, so a new triangulation
+    # cannot leave a second copy of the rule behind
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)) \
+                    or function.name == "generate_mesh":
+                continue
+            found += [f"{path.name}:{node.lineno} {function.name}"
+                      for node in ast.walk(function)
+                      if isinstance(node, ast.BinOp)
+                      and isinstance(node.op, ast.Mod)
+                      and isinstance(node.right, ast.Constant)
+                      and node.right.value == 2]
+    assert found == []
